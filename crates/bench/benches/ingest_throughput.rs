@@ -1,13 +1,13 @@
-//! E6 — broker ingest throughput: the laned ingress pipeline and the
+//! E6 — broker ingest throughput: the ingress verify pool and the
 //! verified-signature cache against the classic single-thread loop, on a
 //! verification-heavy signed-publish workload (broker_fanout-style sweep:
-//! clients × verify workers × apply lanes × cache on/off).
+//! clients × verify workers × cache on/off).
 //!
 //! Before the Criterion timings, the bench runs the full sweep once and
 //! emits the machine-readable `BENCH_6.json` at the workspace root — the
 //! second point of the repo's recorded performance trajectory.  The
-//! headline acceptance numbers live there: pipelined+cached throughput vs
-//! the inline cached row (> 1×, the PR 5 regression fixed), vs the
+//! headline acceptance numbers live there, next to the host's core count:
+//! pipelined+cached throughput vs the inline cached row, vs the
 //! single-thread uncached baseline (≥ 2×), and the gossip/repair-phase
 //! cache hit rate (> 50%).
 
@@ -21,15 +21,12 @@ fn run_sweep() {
     let config = ExperimentConfig::default();
     let mut rows = Vec::new();
     for clients in [8usize, 16] {
-        for (verify_workers, apply_lanes) in
-            [(0usize, None), (4, Some(1)), (4, None)]
-        {
+        for verify_workers in [0usize, 4] {
             for cache in [false, true] {
                 rows.push(measure_ingest_throughput(
                     &config,
                     clients,
                     verify_workers,
-                    apply_lanes,
                     cache,
                     160,
                 ));
@@ -54,17 +51,13 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(300));
-    for (verify_workers, apply_lanes, cache, label) in [
-        (0usize, None, false, "single-thread"),
-        (0, None, true, "cached"),
-        (4, Some(1), true, "serialized-apply-cached"),
-        (4, None, true, "laned-cached"),
+    for (verify_workers, cache, label) in [
+        (0usize, false, "single-thread"),
+        (0, true, "cached"),
+        (4, true, "pipelined-cached"),
     ] {
         group.bench_with_input(BenchmarkId::new(label, 4), &(), |b, ()| {
-            b.iter(|| {
-                measure_ingest_throughput(&config, 4, verify_workers, apply_lanes, cache, 4)
-                    .msgs_per_sec
-            })
+            b.iter(|| measure_ingest_throughput(&config, 4, verify_workers, cache, 4).msgs_per_sec)
         });
     }
     group.finish();

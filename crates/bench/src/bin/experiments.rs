@@ -6,7 +6,7 @@
 //! cargo run --release -p jxta-bench --bin experiments -- e2        # Figure 2
 //! cargo run --release -p jxta-bench --bin experiments -- e3        # federation/sharding relay overhead
 //! cargo run --release -p jxta-bench --bin experiments -- e4        # anti-entropy repair vs drop rate
-//! cargo run --release -p jxta-bench --bin experiments -- e6        # ingest throughput (lanes × workers × cache), writes BENCH_6.json
+//! cargo run --release -p jxta-bench --bin experiments -- e6        # ingest throughput (workers × cache), writes BENCH_6.json
 //! cargo run --release -p jxta-bench --bin experiments -- e7        # delta repair: tree descent vs flat snapshots, writes BENCH_7.json
 //! cargo run --release -p jxta-bench --bin experiments -- e8        # epidemic backbone vs full mesh fan-out, writes BENCH_8.json
 //! cargo run --release -p jxta-bench --bin experiments -- e9        # SWIM detection latency & false positives vs drop rate, writes BENCH_9.json
@@ -94,8 +94,8 @@ fn main() {
         }
     }
 
-    // `e5` stays as an alias: the E6 sweep supersedes it (same workload, plus
-    // the apply-lane dimension) and now writes BENCH_6.json.
+    // `e5` stays as an alias: the E6 sweep supersedes it (same workload) and
+    // writes BENCH_6.json.
     if which == "e5" || which == "e6" || which == "ingest" || which == "all" {
         let result = experiment_ingest_throughput(&config);
         println!("{}", format_ingest_report(&result));

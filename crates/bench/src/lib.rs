@@ -1565,7 +1565,7 @@ pub fn write_bench9_json(result: &SwimDetectionResult) -> std::io::Result<std::p
 }
 
 // ----------------------------------------------------------------------
-// E6 — broker ingest throughput: lanes × verify workers × cache ablation
+// E6 — broker ingest throughput: verify workers × cache ablation
 // ----------------------------------------------------------------------
 
 /// One configuration of the ingest-throughput sweep.
@@ -1575,9 +1575,6 @@ pub struct IngestRow {
     pub clients: usize,
     /// Ingress verify workers (0 = the classic single event-loop thread).
     pub verify_workers: usize,
-    /// Apply lanes actually spawned at broker 0 (0 when the pipeline is
-    /// off; 1 reproduces the PR 5 fully serialized apply stage).
-    pub apply_lanes: u64,
     /// Whether the verified-signature cache was enabled.
     pub cache: bool,
     /// Signed publishes *applied* during the timed phase.  Shed traffic is
@@ -1606,12 +1603,8 @@ pub struct IngestRow {
     pub repair_cache_hit_rate: f64,
     /// Bounded-inbox overflow (backpressure) events observed.
     pub inbox_overflows: u64,
-    /// Largest run of tickets the dispatcher drained at once.
+    /// Largest run of tickets a verify worker applied at once.
     pub max_apply_batch: u64,
-    /// Messages applied by the busiest lane at broker 0 — lane skew.
-    pub busiest_lane_messages: u64,
-    /// Partition-spanning messages that drained all lanes at broker 0.
-    pub barriers_applied: u64,
 }
 
 /// Result of the E6 sweep, with the acceptance ratios precomputed.
@@ -1624,15 +1617,15 @@ pub struct IngestThroughputResult {
     pub speedup_vs_single_thread: f64,
     /// Best `(verify_workers > 0, cache on)` throughput divided by the
     /// `(verify_workers = 0, cache on)` row — the PR 5 regression metric.
-    /// Must be > 1: the laned pipeline beats the inline loop at equal cache
-    /// settings, which the serialized single apply thread never managed.
+    /// Whether it exceeds 1 depends on the host's core count
+    /// ([`IngestThroughputResult::host_cores`]).
     pub pipelined_vs_inline_cached: f64,
-    /// Multi-lane cached throughput divided by the `apply_lanes = 1`
-    /// (serialized-apply ablation) cached throughput, both pipelined.
-    /// Isolates the win of partitioning the apply stage itself.
-    pub laned_vs_serialized_apply: f64,
     /// The gossip/repair-phase cache hit rate of the best cached row.
     pub repair_cache_hit_rate: f64,
+    /// Cores the measuring host offered (`available_parallelism`; 0 when the
+    /// host does not report it).  Every ratio above is only meaningful
+    /// together with this number.
+    pub host_cores: usize,
 }
 
 /// Measures one ingest-throughput configuration: `clients` secure clients
@@ -1643,10 +1636,6 @@ pub struct IngestThroughputResult {
 /// A lossy-backbone episode plus one anti-entropy repair round afterwards
 /// measures the cache hit rate on re-shipped snapshot content.
 ///
-/// `apply_lanes` is forwarded to [`SecureNetworkBuilder::with_apply_lanes`]
-/// when `Some`; `Some(1)` is the serialized-apply ablation (the PR 5
-/// pipeline), `None` sizes the lanes to the verify workers.
-///
 /// The row **panics** if any measured publish is shed under backpressure:
 /// the backpressure timeout is raised far above the drain deadline so an
 /// overloaded broker blocks its producers instead of dropping, and
@@ -1656,7 +1645,6 @@ pub fn measure_ingest_throughput(
     config: &ExperimentConfig,
     clients: usize,
     verify_workers: usize,
-    apply_lanes: Option<usize>,
     cache: bool,
     republishes: usize,
 ) -> IngestRow {
@@ -1685,9 +1673,6 @@ pub fn measure_ingest_throughput(
         .with_verify_workers(verify_workers)
         .with_inbox_capacity(256)
         .with_verify_cache_capacity(if cache { 4096 } else { 0 });
-    if let Some(lanes) = apply_lanes {
-        builder = builder.with_apply_lanes(lanes);
-    }
     for i in 0..clients {
         let group = format!("{EXPERIMENT_GROUP}-{i}");
         builder = builder.with_user(
@@ -1849,7 +1834,6 @@ pub fn measure_ingest_throughput(
     IngestRow {
         clients,
         verify_workers,
-        apply_lanes: pipeline.apply_lanes,
         cache,
         messages,
         shed,
@@ -1864,16 +1848,11 @@ pub fn measure_ingest_throughput(
         },
         inbox_overflows: net_stats.inbox_overflows,
         max_apply_batch: pipeline.max_apply_batch,
-        busiest_lane_messages: pipeline.busiest_lane_messages,
-        barriers_applied: pipeline.barriers_applied,
     }
 }
 
 /// Runs experiment E6: the ingest-throughput ablation over verify workers ×
-/// apply lanes × cache, on a verification-heavy signed-publish workload.
-/// The `apply_lanes = 1` row reproduces the PR 5 serialized apply stage, so
-/// the sweep shows exactly where the old pipeline lost to the inline loop
-/// and where the partitioned lanes win it back.
+/// cache, on a verification-heavy signed-publish workload.
 pub fn experiment_ingest_throughput(config: &ExperimentConfig) -> IngestThroughputResult {
     let clients = 8;
     // Per-row cost is dominated by the RSA deployment setup, not by the
@@ -1881,16 +1860,15 @@ pub fn experiment_ingest_throughput(config: &ExperimentConfig) -> IngestThroughp
     // keeps the measured window well above a scheduler quantum, where a
     // single preemption would otherwise swing a row by double digits.
     let republishes = (config.iterations * 40).max(40);
-    // (verify_workers, apply_lanes, cache)
-    let sweep: [(usize, Option<usize>, bool); 5] = [
-        (0, None, false),    // classic inline loop
-        (0, None, true),     // inline + cache: the row PR 5 lost to
-        (4, Some(1), true),  // PR 5 ablation: pipelined, serialized apply
-        (4, None, false),    // laned pipeline, no cache
-        (4, None, true),     // laned pipeline + cache: the headline row
+    // (verify_workers, cache)
+    let sweep: [(usize, bool); 4] = [
+        (0, false), // classic inline loop
+        (0, true),  // inline + cache: the row the first pipeline lost to
+        (4, false), // pipelined, no cache
+        (4, true),  // pipelined + cache: the headline row
     ];
     let mut rows = Vec::new();
-    for &(verify_workers, apply_lanes, cache) in &sweep {
+    for &(verify_workers, cache) in &sweep {
         // Minimum-elapsed estimate: scheduling noise on a busy host only
         // ever *adds* time, so the fastest of five runs is the cleanest
         // estimate of what the configuration actually costs.
@@ -1900,7 +1878,6 @@ pub fn experiment_ingest_throughput(config: &ExperimentConfig) -> IngestThroughp
                     config,
                     clients,
                     verify_workers,
-                    apply_lanes,
                     cache,
                     republishes,
                 )
@@ -1915,14 +1892,13 @@ pub fn experiment_ingest_throughput(config: &ExperimentConfig) -> IngestThroughp
 /// Computes the acceptance ratios of an E6 sweep.  Speed-up compares rows of
 /// the **same client count only** (same offered load): the best cached row
 /// against the single-thread uncached baseline, maximised over the client
-/// counts for which both exist.  The regression ratios
-/// ([`IngestThroughputResult::pipelined_vs_inline_cached`] and
-/// [`IngestThroughputResult::laned_vs_serialized_apply`]) likewise pair rows
-/// at equal client counts and are `NaN` when a sweep lacks the paired rows.
+/// counts for which both exist.  The regression ratio
+/// ([`IngestThroughputResult::pipelined_vs_inline_cached`]) likewise pairs
+/// rows at equal client counts and is `NaN` when a sweep lacks the paired
+/// rows.
 pub fn summarize_ingest(rows: Vec<IngestRow>) -> IngestThroughputResult {
     let mut speedup = f64::NAN;
     let mut pipelined_vs_inline = f64::NAN;
-    let mut laned_vs_serialized = f64::NAN;
     let mut repair_hit_rate = 0.0;
     let mut client_counts: Vec<usize> = rows.iter().map(|row| row.clients).collect();
     client_counts.sort_unstable();
@@ -1953,21 +1929,12 @@ pub fn summarize_ingest(rows: Vec<IngestRow>) -> IngestThroughputResult {
                 pipelined_vs_inline = ratio;
             }
         }
-        if let (Some(serialized), Some(laned)) = (
-            at(&|row| row.verify_workers > 0 && row.cache && row.apply_lanes == 1),
-            at(&|row| row.verify_workers > 0 && row.cache && row.apply_lanes > 1),
-        ) {
-            let ratio = laned.msgs_per_sec / serialized.msgs_per_sec;
-            if laned_vs_serialized.is_nan() || ratio > laned_vs_serialized {
-                laned_vs_serialized = ratio;
-            }
-        }
     }
     IngestThroughputResult {
         speedup_vs_single_thread: speedup,
         pipelined_vs_inline_cached: pipelined_vs_inline,
-        laned_vs_serialized_apply: laned_vs_serialized,
         repair_cache_hit_rate: repair_hit_rate,
+        host_cores: std::thread::available_parallelism().map_or(0, |cores| cores.get()),
         rows,
     }
 }
@@ -1975,16 +1942,15 @@ pub fn summarize_ingest(rows: Vec<IngestRow>) -> IngestThroughputResult {
 /// Formats E6 as a text table.
 pub fn format_ingest_report(result: &IngestThroughputResult) -> String {
     let mut out = String::from(
-        "E6 — broker ingest throughput (signed publishes; lanes × verify workers × cache)\n\
-         --------------------------------------------------------------------------------\n\
-         clients | workers | lanes | cache | msgs | elapsed (ms) | msgs/sec | cache hits/misses | repair hit rate\n",
+        "E6 — broker ingest throughput (signed publishes; verify workers × cache)\n\
+         ------------------------------------------------------------------------\n\
+         clients | workers | cache | msgs | elapsed (ms) | msgs/sec | cache hits/misses | repair hit rate\n",
     );
     for row in &result.rows {
         out.push_str(&format!(
-            "{:>7} | {:>7} | {:>5} | {:<5} | {:>4} | {:>12.1} | {:>8.0} | {:>9}/{:<7} | {:>14.2}\n",
+            "{:>7} | {:>7} | {:<5} | {:>4} | {:>12.1} | {:>8.0} | {:>9}/{:<7} | {:>14.2}\n",
             row.clients,
             row.verify_workers,
-            row.apply_lanes,
             if row.cache { "on" } else { "off" },
             row.messages,
             row.elapsed_ms,
@@ -1997,19 +1963,19 @@ pub fn format_ingest_report(result: &IngestThroughputResult) -> String {
     out.push_str(&format!(
         "\nspeed-up (best cached vs single-thread uncached): {:.2}x\n\
          pipelined+cached vs inline+cached:                {:.2}x\n\
-         laned apply vs serialized apply (both cached):    {:.2}x\n\
-         gossip/repair-phase cache hit rate:               {:.2}\n",
+         gossip/repair-phase cache hit rate:               {:.2}\n\
+         host cores (available_parallelism):               {}\n",
         result.speedup_vs_single_thread,
         result.pipelined_vs_inline_cached,
-        result.laned_vs_serialized_apply,
-        result.repair_cache_hit_rate
+        result.repair_cache_hit_rate,
+        result.host_cores
     ));
     out
 }
 
 /// Writes the E6 result as machine-readable `BENCH_6.json` at the workspace
 /// root (the second point of the repo's performance trajectory;
-/// `BENCH_5.json` stays on disk as the pre-laned record).  Returns the path.
+/// `BENCH_5.json` stays on disk as the earlier record).  Returns the path.
 pub fn write_bench6_json(result: &IngestThroughputResult) -> std::io::Result<std::path::PathBuf> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -2216,7 +2182,7 @@ mod tests {
         // regression to 0% would leave the pipeline re-verifying everything
         // and the E6 acceptance numbers would quietly evaporate).
         let config = ExperimentConfig::quick();
-        let cached = measure_ingest_throughput(&config, 4, 2, None, true, 6);
+        let cached = measure_ingest_throughput(&config, 4, 2, true, 6);
         assert!(
             cached.repair_cache_hit_rate > 0.5,
             "gossip/repair-phase cache hit rate regressed: {:.2}",
@@ -2228,15 +2194,13 @@ mod tests {
             cached.verify_cache_hits,
             cached.verify_cache_misses
         );
-        assert_eq!(cached.apply_lanes, 2, "lanes default to the worker count");
         assert_eq!(cached.shed, 0, "a measured row never sheds");
 
-        // The ablation baseline really runs uncached and unlaned.
-        let baseline = measure_ingest_throughput(&config, 4, 0, None, false, 6);
+        // The ablation baseline really runs uncached.
+        let baseline = measure_ingest_throughput(&config, 4, 0, false, 6);
         assert_eq!(baseline.verify_cache_hits, 0);
         assert_eq!(baseline.verify_cache_misses, 0);
         assert_eq!(baseline.repair_cache_hit_rate, 0.0);
-        assert_eq!(baseline.apply_lanes, 0, "no pipeline, no lanes");
 
         let result = summarize_ingest(vec![baseline, cached]);
         assert!(result.speedup_vs_single_thread.is_finite());
@@ -2248,8 +2212,7 @@ mod tests {
         // The PR 5 regression, pinned: with the cache on, adding verify
         // workers used to *lose* to the inline loop (~0.77x) because every
         // verified message still funnelled through one apply thread.  The
-        // laned apply stage must keep the pipelined row at parity or
-        // better.  Two things make the comparison noise-proof on small
+        // pipelined row must stay at parity or better.  Two things make the comparison noise-proof on small
         // shared boxes: a timed phase deep enough (1 280 messages) that a
         // single scheduler preemption can no longer swing a row by double
         // digits, and taking each side's fastest of three interleaved runs
@@ -2263,13 +2226,13 @@ mod tests {
         let mut pipelined_cached: f64 = 0.0;
         for _ in 0..3 {
             inline_cached = inline_cached
-                .max(measure_ingest_throughput(&config, 8, 0, None, true, 160).msgs_per_sec);
+                .max(measure_ingest_throughput(&config, 8, 0, true, 160).msgs_per_sec);
             pipelined_cached = pipelined_cached
-                .max(measure_ingest_throughput(&config, 8, 4, None, true, 160).msgs_per_sec);
+                .max(measure_ingest_throughput(&config, 8, 4, true, 160).msgs_per_sec);
         }
         assert!(
             pipelined_cached >= inline_cached * 0.9,
-            "laned pipeline regressed below the inline loop at equal cache \
+            "pipeline regressed below the inline loop at equal cache \
              settings: {pipelined_cached:.0} < {inline_cached:.0} msgs/sec"
         );
     }

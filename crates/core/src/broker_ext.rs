@@ -875,8 +875,6 @@ impl BrokerExtension for SecureBrokerExtension {
                             warm(&xml);
                         }
                     }
-                } else if let Some(xml) = message.element_str("xml") {
-                    warm(&xml);
                 }
             }
             MessageKind::AntiEntropySnapshot => {

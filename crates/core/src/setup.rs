@@ -42,7 +42,6 @@ pub struct SecureNetworkBuilder {
     request_timeout: Duration,
     verify_workers: usize,
     inbox_capacity: Option<usize>,
-    apply_lanes: Option<usize>,
     verify_cache_capacity: Option<usize>,
 }
 
@@ -61,7 +60,6 @@ impl SecureNetworkBuilder {
             request_timeout: Duration::from_secs(5),
             verify_workers: 0,
             inbox_capacity: None,
-            apply_lanes: None,
             verify_cache_capacity: None,
         }
     }
@@ -79,14 +77,6 @@ impl SecureNetworkBuilder {
     /// backpressure instead of unbounded queue growth.
     pub fn with_inbox_capacity(mut self, capacity: usize) -> Self {
         self.inbox_capacity = Some(capacity);
-        self
-    }
-
-    /// Pins the number of partitioned apply lanes each pipelined broker
-    /// runs (default: one lane per verify worker).  See
-    /// [`jxta_overlay::broker::BrokerConfig::apply_lanes`].
-    pub fn with_apply_lanes(mut self, lanes: usize) -> Self {
-        self.apply_lanes = Some(lanes);
         self
     }
 
@@ -221,7 +211,6 @@ impl SecureNetworkBuilder {
                     replication_factor: self.replication_factor,
                     verify_workers: self.verify_workers,
                     inbox_capacity: self.inbox_capacity,
-                    apply_lanes: self.apply_lanes,
                     ..BrokerConfig::default()
                 },
                 Arc::clone(&network),

@@ -75,17 +75,13 @@ pub struct BrokerConfig {
     ///
     /// `0` (the default) keeps the classic single-thread event loop: one
     /// thread decodes, verifies and applies every message.  `n > 0` turns
-    /// ingress into a staged pipeline: an ingress thread stamps arriving
-    /// messages with monotone tickets, `n` workers decode them and run the
-    /// stateless cryptographic pre-verification
-    /// ([`BrokerExtension::preverify`]) in parallel, and a dispatcher
-    /// drains completions **in ticket order** into partitioned apply lanes
-    /// (see [`Broker::spawn`] and [`BrokerConfig::apply_lanes`]):
-    /// partition-local mutations run in parallel across lanes while
-    /// partition-spanning messages apply under a full-lane barrier, so
-    /// per-sender ordering plus replay-protection semantics are exactly
-    /// those of the single-thread loop.  Inline
-    /// drivers ([`crate::federation::InlineFederation`]) ignore this knob —
+    /// ingress into a pool of `n` workers that stamp arriving messages with
+    /// monotone tickets, decode them and run the stateless cryptographic
+    /// pre-verification ([`BrokerExtension::preverify`]) in parallel, then
+    /// apply them **in ticket order** (see [`Broker::spawn`]), so per-sender
+    /// ordering and replay-protection semantics are exactly those of the
+    /// single-thread loop.  Inline drivers
+    /// ([`crate::federation::InlineFederation`]) ignore this knob —
     /// [`Broker::process_net`] runs both stages back to back on the calling
     /// thread, which is what keeps the deterministic proptests seed-stable.
     pub verify_workers: usize,
@@ -97,13 +93,6 @@ pub struct BrokerConfig {
     /// backpressure timeout is shed and counted — see
     /// [`SimNetwork::register_bounded`].
     pub inbox_capacity: Option<usize>,
-    /// Number of partitioned apply lanes a *spawned*, pipelined broker runs.
-    ///
-    /// `None` (the default) sizes the lane pool to `verify_workers`; `Some(n)`
-    /// pins it (`Some(1)` reproduces the old fully serialized apply stage).
-    /// Ignored when `verify_workers == 0` — the classic loop has no apply
-    /// stage to partition.  See [`Broker::spawn`] for the lane/barrier model.
-    pub apply_lanes: Option<usize>,
     /// Anti-entropy strategy for the two shard-keyed sections (advertisement
     /// index and group membership).
     ///
@@ -139,19 +128,6 @@ pub struct BrokerConfig {
     /// Capacity of the membership layer's passive healing reservoir.
     /// Defaults to [`crate::membership::DEFAULT_PASSIVE_VIEW`].
     pub passive_view: usize,
-    /// Known-peer count above which the epidemic fabric engages (see
-    /// [`Broker::epidemic_engaged`]).
-    ///
-    /// `None` (the default) keeps the implicit PR 9 rule — engage once the
-    /// peer set outgrows [`BrokerConfig::active_view`], i.e. exactly when
-    /// the views stop being complete.  `Some(n)` pins the threshold
-    /// explicitly, decoupling *when* the federation goes epidemic from *how
-    /// wide* its routing degree is: a deployment can hold the full-mesh
-    /// fabric up to a larger backbone (`n` above the view capacity) or
-    /// engage early in tests (`Some(0)` engages at any size).  Like
-    /// [`BrokerConfig::full_mesh`], all brokers of one federation must
-    /// agree on it — the predicate must be uniform for forwarding to work.
-    pub engagement_threshold: Option<usize>,
 }
 
 impl Default for BrokerConfig {
@@ -161,12 +137,10 @@ impl Default for BrokerConfig {
             replication_factor: None,
             verify_workers: 0,
             inbox_capacity: None,
-            apply_lanes: None,
             repair_tree: true,
             full_mesh: false,
             active_view: crate::membership::DEFAULT_ACTIVE_VIEW,
             passive_view: crate::membership::DEFAULT_PASSIVE_VIEW,
-            engagement_threshold: None,
         }
     }
 }
@@ -198,14 +172,6 @@ impl BrokerConfig {
         self
     }
 
-    /// Pins the number of partitioned apply lanes (default: one lane per
-    /// verify worker).  Only meaningful together with
-    /// [`BrokerConfig::with_pipeline`].
-    pub fn with_apply_lanes(mut self, lanes: usize) -> Self {
-        self.apply_lanes = Some(lanes);
-        self
-    }
-
     /// Disables hash-tree anti-entropy, falling back to full-section
     /// snapshots on any digest mismatch.  Exists for the repair-cost
     /// experiments and the flat-vs-tree oracle tests; production brokers
@@ -233,66 +199,6 @@ impl BrokerConfig {
         self.passive_view = passive;
         self
     }
-
-    /// Pins the epidemic engagement threshold: the fabric engages once the
-    /// known peer count exceeds `threshold`, independent of the view
-    /// capacity — see [`BrokerConfig::engagement_threshold`].
-    pub fn with_engagement_threshold(mut self, threshold: usize) -> Self {
-        self.engagement_threshold = Some(threshold);
-        self
-    }
-}
-
-/// Where the apply stage may run one decoded message — the routing decision
-/// of the partitioned apply stage (see [`Broker::spawn`]).
-///
-/// `Lane(key)` means every state mutation the message can cause is confined
-/// to the `(group, owner)` shard partition at ring position `key`
-/// ([`crate::shard::shard_key`]), so it may apply on a partition lane
-/// concurrently with messages of *other* partitions.  `Barrier` means the
-/// message reads or writes state spanning partitions — sessions, group
-/// membership, peer routing, gossip sequencing, shard queries, anti-entropy
-/// — and must observe every earlier-ticket lane apply before it runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyRoute {
-    /// Partition-local: apply on the lane owning this shard key.
-    Lane(u64),
-    /// Partition-spanning: drain all lanes, then apply serialized.
-    Barrier,
-}
-
-/// Classifies a decoded message for the partitioned apply stage.
-///
-/// Only client [`MessageKind::PublishAdvertisement`] is partition-local
-/// today: its mutations are the `(group, sender)` index entry plus gossip
-/// *about that entry*, and the paper's workload — file/pipe advertisement
-/// churn — is exactly this kind.  Everything else (connects, logins,
-/// lookups, relays, inter-broker sync/repair, the secure handshakes) is a
-/// barrier: correct but serialized, the same cost it had before lanes
-/// existed.  A publish without a parseable `group` element only draws a
-/// rejection reply, but classifying it as a barrier keeps the lane
-/// invariant — "a lane message touches exactly one partition" — trivially
-/// true.
-pub fn apply_route(message: &Message) -> ApplyRoute {
-    match message.kind {
-        MessageKind::PublishAdvertisement => match message.element_str("group") {
-            Some(group) => ApplyRoute::Lane(crate::shard::shard_key(
-                &GroupId::new(group),
-                &message.sender,
-            )),
-            None => ApplyRoute::Barrier,
-        },
-        _ => ApplyRoute::Barrier,
-    }
-}
-
-/// Work queued to one partition apply lane by the pipeline dispatcher.
-enum LaneJob {
-    /// Apply one decoded partition-local message.
-    Apply(NetMessage, Message),
-    /// Synchronisation point: acknowledge once every earlier job on this
-    /// lane has fully applied.
-    Barrier(crossbeam::channel::Sender<()>),
 }
 
 /// A divergent repair-tree node whose entry count (on both sides) is at or
@@ -333,8 +239,8 @@ struct PipelineIngress {
 }
 
 /// Stage-3 state shared by the verify workers: the ticket reorder buffer.
-/// Whichever worker holds this lock is *the* dispatcher for that moment —
-/// the single-router invariant the lane fast-path and barriers rely on.
+/// Whichever worker holds this lock is the only thread applying messages at
+/// that moment, which is what makes apply order equal ticket order.
 struct PipelineRouter {
     next_ticket: u64,
     reorder: BTreeMap<u64, (NetMessage, Option<Message>)>,
@@ -828,21 +734,14 @@ impl Broker {
     }
 
     /// Whether the epidemic fabric is active: the broker is not pinned to
-    /// full mesh and the known peer set has outgrown the engagement
-    /// threshold (the active-view capacity unless
-    /// [`BrokerConfig::engagement_threshold`] pins it), so the view is a
-    /// strict subset and broadcasts must be forwarded.  The predicate
-    /// depends only on configuration and the (replicated) peer count, so
-    /// every broker of a federation reaches the same answer — which the
-    /// forwarding protocol needs: a broker that pushed eagerly must be able
-    /// to rely on its neighbours pushing onward.
+    /// full mesh and the known peer set has outgrown the active-view
+    /// capacity, so the view is a strict subset and broadcasts must be
+    /// forwarded.  The predicate depends only on configuration and the
+    /// (replicated) peer count, so every broker of a federation reaches the
+    /// same answer — which the forwarding protocol needs: a broker that
+    /// pushed eagerly must be able to rely on its neighbours pushing onward.
     pub fn epidemic_engaged(&self) -> bool {
-        !self.config.full_mesh
-            && self.peer_brokers.read().len()
-                > self
-                    .config
-                    .engagement_threshold
-                    .unwrap_or(self.config.active_view)
+        !self.config.full_mesh && self.peer_brokers.read().len() > self.config.active_view
     }
 
     /// The peer brokers that broadcast gossip, anti-entropy and extension
@@ -1531,12 +1430,9 @@ impl Broker {
         Some(seq)
     }
 
-    /// Applies one incoming gossip message to local state.  Two wire shapes
-    /// are understood: the coalesced digest (`count` element, events in
-    /// `e{i}-*` fields, each carrying its own version `seq`) that this
-    /// implementation sends, and the PR 2 single-event layout (`op` at the
-    /// top level, the transport `seq` doubling as the version) for
-    /// compatibility with captured traffic and hand-built test messages.
+    /// Applies one incoming gossip digest to local state: a `count` element
+    /// plus the events in `e{i}-*` fields, each carrying its own version
+    /// `seq` (the transport `seq` only guards replay).
     fn handle_sync(&self, message: &Message, transport_from: Option<PeerId>) {
         if self
             .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
@@ -1548,81 +1444,76 @@ impl Broker {
         let epidemic = self.epidemic_engaged();
         let mut broadcasts = 0usize;
         let mut duplicates = 0usize;
-        if let Some(count) = message
+        let count = message
             .element_str("count")
             .and_then(|c| c.parse::<usize>().ok())
-        {
-            // One name→content index up front: per-field `element` scans
-            // would make applying an n-event digest O(n²).
-            let index = message.index();
-            for i in 0..count {
-                // Epidemic bookkeeping first: a broadcast event (it carries
-                // its gossip id in `vorigin`/`seq` plus the `bcast` marker)
-                // is deduplicated on the seen-set, cached for grafts, and
-                // re-queued onward — eager edges get the payload, lazy
-                // edges an `IHave` at the flush below.  Application itself
-                // stays on the byte-faithful closure over the wire message.
-                let gid = if epidemic
-                    && index.get(&format!("e{i}-bcast")) == Some(b"1".as_slice())
-                {
-                    index
-                        .get_str(&format!("e{i}-vorigin"))
-                        .and_then(|urn| PeerId::from_urn(&urn))
-                        .zip(
-                            index
-                                .get_str(&format!("e{i}-seq"))
-                                .and_then(|s| s.parse::<u64>().ok()),
-                        )
-                } else {
-                    None
-                };
-                if let Some(gid) = gid {
-                    broadcasts += 1;
-                    let fresh = self.plumtree.lock().note_seen(gid);
-                    if !fresh {
-                        duplicates += 1;
-                        continue;
-                    }
-                    let prefix = format!("e{i}-");
-                    let fields: Vec<(String, String)> = message
-                        .elements
-                        .iter()
-                        .filter_map(|element| {
-                            element.name.strip_prefix(&prefix).map(|field| {
-                                (
-                                    field.to_string(),
-                                    String::from_utf8_lossy(&element.content).into_owned(),
-                                )
-                            })
+            .unwrap_or(0);
+        // One name→content index up front: per-field `element` scans would
+        // make applying an n-event digest O(n²).
+        let index = message.index();
+        for i in 0..count {
+            // Epidemic bookkeeping first: a broadcast event (it carries
+            // its gossip id in `vorigin`/`seq` plus the `bcast` marker)
+            // is deduplicated on the seen-set, cached for grafts, and
+            // re-queued onward — eager edges get the payload, lazy
+            // edges an `IHave` at the flush below.  Application itself
+            // stays on the byte-faithful closure over the wire message.
+            let gid = if epidemic
+                && index.get(&format!("e{i}-bcast")) == Some(b"1".as_slice())
+            {
+                index
+                    .get_str(&format!("e{i}-vorigin"))
+                    .and_then(|urn| PeerId::from_urn(&urn))
+                    .zip(
+                        index
+                            .get_str(&format!("e{i}-seq"))
+                            .and_then(|s| s.parse::<u64>().ok()),
+                    )
+            } else {
+                None
+            };
+            if let Some(gid) = gid {
+                broadcasts += 1;
+                let fresh = self.plumtree.lock().note_seen(gid);
+                if !fresh {
+                    duplicates += 1;
+                    continue;
+                }
+                let prefix = format!("e{i}-");
+                let fields: Vec<(String, String)> = message
+                    .elements
+                    .iter()
+                    .filter_map(|element| {
+                        element.name.strip_prefix(&prefix).map(|field| {
+                            (
+                                field.to_string(),
+                                String::from_utf8_lossy(&element.content).into_owned(),
+                            )
                         })
-                        .collect();
-                    let (eager, lazy) = {
-                        let mut tree = self.plumtree.lock();
-                        tree.cache_event(gid, fields.clone());
-                        (tree.eager(), tree.lazy())
-                    };
-                    let forward: Vec<PeerId> = eager
-                        .into_iter()
-                        .filter(|p| *p != origin && *p != gid.0)
-                        .collect();
-                    self.gossip_to(&forward, GossipEvent::from_owned(fields));
-                    self.federation.count_eager_pushes(forward.len() as u64);
-                    if !lazy.is_empty() {
-                        let mut ihaves = self.ihave_outbox.lock();
-                        for peer in lazy {
-                            if peer != origin && peer != gid.0 {
-                                ihaves.entry(peer).or_default().push(gid);
-                            }
+                    })
+                    .collect();
+                let (eager, lazy) = {
+                    let mut tree = self.plumtree.lock();
+                    tree.cache_event(gid, fields.clone());
+                    (tree.eager(), tree.lazy())
+                };
+                let forward: Vec<PeerId> = eager
+                    .into_iter()
+                    .filter(|p| *p != origin && *p != gid.0)
+                    .collect();
+                self.gossip_to(&forward, GossipEvent::from_owned(fields));
+                self.federation.count_eager_pushes(forward.len() as u64);
+                if !lazy.is_empty() {
+                    let mut ihaves = self.ihave_outbox.lock();
+                    for peer in lazy {
+                        if peer != origin && peer != gid.0 {
+                            ihaves.entry(peer).or_default().push(gid);
                         }
                     }
                 }
-                self.apply_sync_event(origin, &|field: &str| {
-                    index.get(&format!("e{i}-{field}")).map(<[u8]>::to_vec)
-                });
             }
-        } else {
             self.apply_sync_event(origin, &|field: &str| {
-                message.element(field).map(<[u8]>::to_vec)
+                index.get(&format!("e{i}-{field}")).map(<[u8]>::to_vec)
             });
         }
         // A digest made entirely of already-seen broadcasts means this edge
@@ -1642,8 +1533,8 @@ impl Broker {
     }
 
     /// Applies a single replicated write.  `raw` resolves the event's fields
-    /// (either top-level elements or the `e{i}-` slice of a digest) as raw
-    /// bytes; textual fields are decoded through the local `get` helper.
+    /// (the `e{i}-` slice of a digest) as raw bytes; textual fields are
+    /// decoded through the local `get` helper.
     fn apply_sync_event(&self, origin: PeerId, raw: &dyn Fn(&str) -> Option<Vec<u8>>) {
         let get = |field: &str| raw(field).map(|b| String::from_utf8_lossy(&b).into_owned());
         let Some(seq) = get("seq").and_then(|s| s.parse::<u64>().ok()) else {
@@ -2249,8 +2140,8 @@ impl Broker {
     /// revocation lists) to every peer broker of the federation.  No-op when
     /// no extension is installed or the extension has nothing to share.
     ///
-    /// The update is sent directly (as a single-event `BrokerSync`) rather
-    /// than queued in the gossip outbox: the outbox is shared with the
+    /// The update is sent directly (as a one-event `BrokerSync` digest)
+    /// rather than queued in the gossip outbox: the outbox is shared with the
     /// broker's event-loop thread, which could pick the event up and ship it
     /// *after* this call returns.  Sending on the caller's thread completes
     /// before returning, so the per-inbox FIFO guarantees every current peer
@@ -2265,10 +2156,13 @@ impl Broker {
         };
         // Epidemic federations send to the active view only; the x-section
         // anti-entropy exchange spreads the blob transitively from there.
+        let seq = self.next_sync_seq().to_string();
         for peer in self.repair_targets() {
             let sync = Message::new(MessageKind::BrokerSync, self.id, 0)
-                .with_str("op", "ext")
-                .with_element("blob", blob.clone());
+                .with_str("count", "1")
+                .with_str("e0-op", "ext")
+                .with_str("e0-seq", &seq)
+                .with_element("e0-blob", blob.clone());
             if self.send_sequenced(peer, sync, Duration::ZERO).is_some() {
                 self.federation.count_sync_sent();
             }
@@ -3492,31 +3386,19 @@ impl Broker {
     /// network inbox ──[ingress lock: batch + tickets]──► verify worker
     ///   (decode + preverify, parallel, no lock)              │
     ///                                                        ▼
-    ///              [router lock: reorder to ticket order, classify]
-    ///               │ partition-local               │ partition-spanning
-    ///               ▼ (shard_key % lanes)           ▼
-    ///       apply lanes (parallel,          barrier: drain all lanes,
-    ///        FIFO per partition;             then apply on the routing
-    ///        idle lane → apply on            worker
-    ///        the routing worker)
+    ///        [router lock: reorder to ticket order, apply each message]
     /// ```
     ///
     /// Each verify worker carries a message end to end: it stamps monotone
     /// tickets while holding the ingress lock (so ticket order is arrival
-    /// order), pre-verifies in parallel, and then — holding the router lock,
-    /// which makes it the sole dispatcher for that moment — restores exact
-    /// arrival order through the ticket reorder buffer and routes each
-    /// message *in that order*.  A partition-local message ([`apply_route`])
-    /// goes to the FIFO lane owning its `(group, owner)` shard key (or, when
-    /// that lane is idle, applies directly on the routing worker — the lane
-    /// handoff only pays for itself when there is queued work to overlap
-    /// with), so same-partition messages keep their relative order while
-    /// different partitions apply in parallel.  A partition-spanning message
-    /// waits for every busy lane to quiesce (a barrier) and then applies on
-    /// the routing worker itself, so it observes — and is observed by — all
-    /// lane traffic in ticket order.  Lane queues are bounded, so a
-    /// saturated lane stalls the router, which stalls the verify pool and
-    /// the inbox drain, which (with [`BrokerConfig::inbox_capacity`]) pushes
+    /// order), pre-verifies in parallel, and then — holding the router
+    /// lock, which makes it the only thread applying at that moment —
+    /// restores exact arrival order through the ticket reorder buffer and
+    /// applies every message itself, in that order.  Only the stateless
+    /// decode and signature work runs in parallel; state changes happen in
+    /// exactly the order the single-thread loop would make them.  A worker
+    /// busy applying stalls the others at the router lock, which stalls the
+    /// inbox drain, which (with [`BrokerConfig::inbox_capacity`]) pushes
     /// back on senders instead of queueing without bound.
     pub fn spawn(self: &Arc<Self>) -> BrokerHandle {
         let receiver = match self.config.inbox_capacity {
@@ -3548,61 +3430,16 @@ impl Broker {
                 threads,
             };
         }
-
-        let workers = self.config.verify_workers;
         drop(shutdown_rx);
-
-        // Lane pool: partition-local messages apply here in parallel, one
-        // FIFO lane per shard-key slice.  Bounded queues keep the
-        // backpressure chain intact: a slow lane stalls the dispatcher.
-        let lanes = self.config.apply_lanes.unwrap_or(workers).max(1);
-        let lane_counters = self.pipeline.configure_lanes(lanes);
-        let mut lane_txs = Vec::with_capacity(lanes);
-        let mut lane_busy = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            let (lane_tx, lane_rx) = crossbeam::channel::bounded::<LaneJob>(workers * 8);
-            let busy = Arc::new(AtomicU64::new(0));
-            let broker = Arc::clone(self);
-            let counters = Arc::clone(&lane_counters);
-            let in_flight = Arc::clone(&busy);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("broker-{}-lane-{lane}", self.config.name))
-                    .spawn(move || {
-                        while let Ok(job) = lane_rx.recv() {
-                            match job {
-                                LaneJob::Apply(net_message, message) => {
-                                    broker.apply_net(net_message, Some(message));
-                                    counters[lane].fetch_add(1, Ordering::Relaxed);
-                                    // Release pairs with the dispatcher's
-                                    // Acquire: a zero in-flight count proves
-                                    // the apply's effects are visible.
-                                    in_flight.fetch_sub(1, Ordering::Release);
-                                }
-                                LaneJob::Barrier(ack) => {
-                                    // FIFO: every apply routed to this lane
-                                    // before the barrier has already run.
-                                    let _ = ack.send(());
-                                }
-                            }
-                        }
-                    })
-                    .expect("failed to spawn broker apply lane"),
-            );
-            lane_txs.push(lane_tx);
-            lane_busy.push(busy);
-        }
 
         // Verify pool: each worker owns a message end to end.  It pulls a
         // batch off the inbox and stamps monotone tickets under the ingress
         // lock (stamp order == arrival order), decodes and cryptographically
         // pre-verifies outside any lock (the parallel stage), then takes the
-        // router lock to restore global ticket order and route — so exactly
-        // one thread routes at any moment, which is what keeps the lane
-        // fast-path and the barrier protocol sound.  Compared to dedicated
-        // ingress/dispatcher threads this costs two short critical sections
-        // instead of two channel handoffs per message, and the batching
-        // amortises both locks when the inbox runs deep.
+        // router lock to restore global ticket order and apply.  Compared to
+        // dedicated ingress/apply threads this costs two short critical
+        // sections instead of two channel handoffs per message, and the
+        // batching amortises both locks when the inbox runs deep.
         let ingress = Arc::new(Mutex::with_class(
             "pipeline.ingress",
             PipelineIngress { receiver, ticket: 0 },
@@ -3614,19 +3451,10 @@ impl Broker {
                 reorder: BTreeMap::new(),
             },
         ));
-        let lane_txs = Arc::new(lane_txs);
-        let lane_busy = Arc::new(lane_busy);
-        // A single-core host cannot run lanes concurrently with the router;
-        // fanning out would only pay thread-handoff cost for no overlap, so
-        // the router applies partition-local messages itself there.
-        let eager_inline =
-            std::thread::available_parallelism().is_ok_and(|cores| cores.get() == 1);
-        for worker in 0..workers {
+        for worker in 0..self.config.verify_workers {
             let broker = Arc::clone(self);
             let ingress = Arc::clone(&ingress);
             let router = Arc::clone(&router);
-            let lane_txs = Arc::clone(&lane_txs);
-            let lane_busy = Arc::clone(&lane_busy);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("broker-{}-verify-{worker}", self.config.name))
@@ -3674,43 +3502,21 @@ impl Broker {
                                     router.reorder.insert(ticket, (net_message, decoded));
                                     continue;
                                 }
-                                // In order — the common case: route without
+                                // In order — the common case: apply without
                                 // touching the reorder buffer, then drain any
                                 // parked successors this unblocked.
-                                broker.dispatch_apply(
-                                    net_message,
-                                    decoded,
-                                    &lane_txs,
-                                    &lane_busy,
-                                    eager_inline,
-                                );
-                                router.next_ticket += 1;
-                                batch += 1;
-                                loop {
-                                    let next = router.next_ticket;
-                                    let Some((net_message, decoded)) =
-                                        router.reorder.remove(&next)
-                                    else {
-                                        break;
-                                    };
-                                    broker.dispatch_apply(
-                                        net_message,
-                                        decoded,
-                                        &lane_txs,
-                                        &lane_busy,
-                                        eager_inline,
-                                    );
+                                let mut next = Some((net_message, decoded));
+                                while let Some((net_message, decoded)) = next {
+                                    broker.apply_net(net_message, decoded);
                                     router.next_ticket += 1;
                                     batch += 1;
+                                    next = router.reorder.remove(&router.next_ticket);
                                 }
                             }
                             if batch > 0 {
                                 broker.pipeline.record_apply_batch(batch);
                             }
                         }
-                        // The last worker out drops the final clones of the
-                        // lane senders, closing each lane's queue after its
-                        // last routed apply.
                     })
                     .expect("failed to spawn broker verify worker"),
             );
@@ -3720,74 +3526,6 @@ impl Broker {
             broker: Arc::clone(self),
             shutdown: shutdown_tx,
             threads,
-        }
-    }
-
-    /// Routes one in-ticket-order completion through the partitioned apply
-    /// stage: partition-local messages go to their shard lane, anything
-    /// else drains the lanes (a barrier) and applies on the calling
-    /// dispatcher thread.  Only ever called from the dispatcher, which is
-    /// the sole sender on every lane — that is what makes the barrier
-    /// protocol sound: once each busy lane acknowledges, no lane can have
-    /// work in flight until the dispatcher routes more.
-    fn dispatch_apply(
-        &self,
-        net_message: NetMessage,
-        decoded: Option<Message>,
-        lane_txs: &[crossbeam::channel::Sender<LaneJob>],
-        lane_busy: &[Arc<AtomicU64>],
-        eager_inline: bool,
-    ) {
-        let Some(message) = decoded else {
-            // Undecodable traffic touches no state (`apply_net` only counts
-            // it processed), so it needs neither a lane nor a drain.
-            return self.apply_net(net_message, None);
-        };
-        match apply_route(&message) {
-            ApplyRoute::Lane(key) => {
-                let lane = (key % lane_txs.len() as u64) as usize;
-                // On a host without spare cores the lane handoff cannot buy
-                // concurrency that does not exist, so the router applies
-                // partition-local messages itself: routing is paused while
-                // it does, so partition FIFO holds trivially, and the
-                // message still counts against its lane for load metrics.
-                if eager_inline {
-                    self.apply_net(net_message, Some(message));
-                    self.pipeline.count_lane_message(lane);
-                    return;
-                }
-                lane_busy[lane].fetch_add(1, Ordering::Relaxed);
-                if lane_txs[lane]
-                    .send(LaneJob::Apply(net_message, message))
-                    .is_err()
-                {
-                    // Shutdown race: the lane is gone, nothing applies.
-                    lane_busy[lane].fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            ApplyRoute::Barrier => {
-                // Ask every busy lane to acknowledge; lane FIFO means the
-                // ack proves all its earlier applies completed.  Acks are
-                // collected after all requests go out, so lanes drain in
-                // parallel.
-                let mut pending = Vec::new();
-                for (lane, busy) in lane_busy.iter().enumerate() {
-                    if busy.load(Ordering::Acquire) > 0 {
-                        let (ack_tx, ack_rx) = crossbeam::channel::bounded::<()>(1);
-                        if lane_txs[lane].send(LaneJob::Barrier(ack_tx)).is_ok() {
-                            pending.push(ack_rx);
-                        }
-                    }
-                }
-                if !pending.is_empty() {
-                    self.pipeline.count_barrier_drain();
-                    for ack in pending {
-                        let _ = ack.recv();
-                    }
-                }
-                self.pipeline.count_barrier();
-                self.apply_net(net_message, Some(message));
-            }
         }
     }
 
@@ -3820,10 +3558,7 @@ impl Broker {
     /// Pipeline stage 2 — serialized: applies one decoded message to broker
     /// state and sends replies.  Must observe messages in arrival order (the
     /// pipeline's ticket reorder guarantees it), which preserves per-sender
-    /// FIFO and the inter-broker replay-protection semantics.  Relay kinds
-    /// are dispatched here rather than in [`Broker::handle_message`] because
-    /// they need the delivery's accumulated wire time for per-hop
-    /// accounting.
+    /// FIFO and the inter-broker replay-protection semantics.
     fn apply_net(&self, net_message: NetMessage, decoded: Option<Message>) {
         let Some(message) = decoded else {
             // Undecodable traffic is dropped silently — but it still counts
@@ -3832,74 +3567,9 @@ impl Broker {
             self.processed.fetch_add(1, Ordering::Release);
             return;
         };
-        let response = match message.kind {
-            MessageKind::RelayViaBroker => {
-                self.handle_relay_request(&message, net_message.wire_time)
-            }
-            MessageKind::BrokerRelay => {
-                self.handle_broker_relay(&message, Some(net_message.from), net_message.wire_time);
-                None
-            }
-            MessageKind::BrokerSync => {
-                self.handle_sync(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::ShardQuery => {
-                self.handle_shard_query(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::ShardResponse => {
-                self.handle_shard_response(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::AntiEntropyDigest => {
-                self.handle_anti_entropy_digest(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::AntiEntropySnapshot => {
-                self.handle_anti_entropy_snapshot(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::AntiEntropyRange => {
-                self.handle_anti_entropy_range(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::MembershipShuffle => {
-                self.handle_membership_shuffle(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::MembershipShuffleReply => {
-                self.handle_membership_shuffle_reply(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::PlumtreeIHave => {
-                self.handle_plumtree_ihave(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::PlumtreeGraft => {
-                self.handle_plumtree_graft(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::PlumtreePrune => {
-                self.handle_plumtree_prune(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::SwimPing => {
-                self.handle_swim_ping(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::SwimPingReq => {
-                self.handle_swim_ping_req(&message, Some(net_message.from));
-                None
-            }
-            MessageKind::SwimAck => {
-                self.handle_swim_ack(&message, Some(net_message.from));
-                None
-            }
-            _ => self.handle_message(&message),
-        };
+        let response = self.dispatch(&message, Some(net_message.from), net_message.wire_time);
         // Belt and braces: any handler that queued gossip has flushed it
-        // already, but an extension hooked in via `handle_message` may have
+        // already, but an extension hooked in via `dispatch` may have
         // produced events of its own.
         self.flush_gossip();
         if let Some(response) = response {
@@ -3921,87 +3591,55 @@ impl Broker {
     /// Dispatches a decoded message to the appropriate broker function.
     ///
     /// Public so tests (and the in-line, thread-free mode used by some
-    /// benchmarks) can drive a broker without spawning its thread.
+    /// benchmarks) can drive a broker without spawning its thread.  A
+    /// message handed in directly has no transport sender to check the
+    /// inter-broker origin against and no accumulated wire time.
     pub fn handle_message(&self, message: &Message) -> Option<Message> {
+        self.dispatch(message, None, Duration::ZERO)
+    }
+
+    /// The one dispatch table behind [`Broker::handle_message`] and the
+    /// network path.  `from` is the delivering peer (checked against the
+    /// claimed origin of inter-broker traffic) and `wire_time` the
+    /// delivery's accumulated link cost (charged per relay hop).
+    fn dispatch(&self, message: &Message, from: Option<PeerId>, wire_time: Duration) -> Option<Message> {
         match message.kind {
-            MessageKind::ConnectRequest => Some(self.handle_connect(message)),
-            MessageKind::LoginRequest => Some(self.handle_login(message)),
-            MessageKind::PublishAdvertisement => Some(self.handle_publish(message)),
-            MessageKind::LookupRequest => self.handle_lookup(message),
-            MessageKind::BrokerSync => {
-                self.handle_sync(message, None);
-                None
-            }
-            MessageKind::RelayViaBroker => self.handle_relay_request(message, Duration::ZERO),
-            MessageKind::BrokerRelay => {
-                self.handle_broker_relay(message, None, Duration::ZERO);
-                None
-            }
-            MessageKind::ShardQuery => {
-                self.handle_shard_query(message, None);
-                None
-            }
-            MessageKind::ShardResponse => {
-                self.handle_shard_response(message, None);
-                None
-            }
-            MessageKind::AntiEntropyDigest => {
-                self.handle_anti_entropy_digest(message, None);
-                None
-            }
-            MessageKind::AntiEntropySnapshot => {
-                self.handle_anti_entropy_snapshot(message, None);
-                None
-            }
-            MessageKind::AntiEntropyRange => {
-                self.handle_anti_entropy_range(message, None);
-                None
-            }
-            MessageKind::MembershipShuffle => {
-                self.handle_membership_shuffle(message, None);
-                None
-            }
-            MessageKind::MembershipShuffleReply => {
-                self.handle_membership_shuffle_reply(message, None);
-                None
-            }
-            MessageKind::PlumtreeIHave => {
-                self.handle_plumtree_ihave(message, None);
-                None
-            }
-            MessageKind::PlumtreeGraft => {
-                self.handle_plumtree_graft(message, None);
-                None
-            }
-            MessageKind::PlumtreePrune => {
-                self.handle_plumtree_prune(message, None);
-                None
-            }
-            MessageKind::SwimPing => {
-                self.handle_swim_ping(message, None);
-                None
-            }
-            MessageKind::SwimPingReq => {
-                self.handle_swim_ping_req(message, None);
-                None
-            }
-            MessageKind::SwimAck => {
-                self.handle_swim_ack(message, None);
-                None
-            }
-            MessageKind::SecureConnectChallenge
-            | MessageKind::SecureLoginRequest => {
+            MessageKind::ConnectRequest => return Some(self.handle_connect(message)),
+            MessageKind::LoginRequest => return Some(self.handle_login(message)),
+            MessageKind::PublishAdvertisement => return Some(self.handle_publish(message)),
+            MessageKind::LookupRequest => return self.handle_lookup(message),
+            MessageKind::RelayViaBroker => return self.handle_relay_request(message, wire_time),
+            MessageKind::SecureConnectChallenge | MessageKind::SecureLoginRequest => {
                 let extension = self.extension.read().clone();
-                match extension {
+                return match extension {
                     Some(ext) => ext.handle(self, message).or_else(|| {
                         Some(self.reject(message, "secure primitive not handled by extension"))
                     }),
                     None => Some(self.reject(message, "secure primitives not enabled on this broker")),
-                }
+                };
             }
+            // Inter-broker kinds: applied for their side effects, never acked.
+            MessageKind::BrokerRelay => self.handle_broker_relay(message, from, wire_time),
+            MessageKind::BrokerSync => self.handle_sync(message, from),
+            MessageKind::ShardQuery => self.handle_shard_query(message, from),
+            MessageKind::ShardResponse => self.handle_shard_response(message, from),
+            MessageKind::AntiEntropyDigest => self.handle_anti_entropy_digest(message, from),
+            MessageKind::AntiEntropySnapshot => self.handle_anti_entropy_snapshot(message, from),
+            MessageKind::AntiEntropyRange => self.handle_anti_entropy_range(message, from),
+            MessageKind::MembershipShuffle => self.handle_membership_shuffle(message, from),
+            MessageKind::MembershipShuffleReply => {
+                self.handle_membership_shuffle_reply(message, from)
+            }
+            MessageKind::PlumtreeIHave => self.handle_plumtree_ihave(message, from),
+            MessageKind::PlumtreeGraft => self.handle_plumtree_graft(message, from),
+            MessageKind::PlumtreePrune => self.handle_plumtree_prune(message, from),
+            MessageKind::SwimPing => self.handle_swim_ping(message, from),
+            MessageKind::SwimPingReq => self.handle_swim_ping_req(message, from),
+            MessageKind::SwimAck => self.handle_swim_ack(message, from),
             // Anything else is not a broker function.
-            _ => Some(self.reject(message, "unsupported message kind")),
+            _ => return Some(self.reject(message, "unsupported message kind")),
         }
+        None
     }
 
     fn reject(&self, message: &Message, reason: &str) -> Message {
@@ -4443,7 +4081,7 @@ impl Broker {
 }
 
 /// Handle of a running broker: the classic single event-loop thread, or the
-/// ingress/verify/apply threads of a pipelined broker.
+/// verify workers of a pipelined broker.
 pub struct BrokerHandle {
     broker: Arc<Broker>,
     shutdown: crossbeam::channel::Sender<()>,
@@ -4469,10 +4107,10 @@ impl BrokerHandle {
     fn shutdown_inner(&mut self) {
         let _ = self.shutdown.send(());
         // Unregistering closes the network channel, which wakes whichever
-        // verify worker holds the ingress lock; each worker finishes routing
-        // the messages it already stamped before exiting, and the last one
-        // out drops the lane senders — so every in-flight message still
-        // reaches the apply stage before the pipeline winds down.
+        // verify worker holds the ingress lock; each worker finishes
+        // applying the messages it already stamped before exiting, so every
+        // in-flight message still reaches the apply stage before the
+        // pipeline winds down.
         self.broker.network.unregister(&self.broker.id);
         for thread in self.threads.drain(..) {
             let _ = thread.join();
@@ -4825,16 +4463,29 @@ mod tests {
         assert!(!broker.is_peer_broker(&broker.id()));
     }
 
+    /// A one-event `BrokerSync` digest from `origin`: `seq` is both the
+    /// transport sequence number and the event's version.
+    fn sync_digest(origin: PeerId, seq: u64, fields: &[(&str, &str)]) -> Message {
+        let mut sync = Message::new(MessageKind::BrokerSync, origin, 0)
+            .with_str("count", "1")
+            .with_str("seq", &seq.to_string())
+            .with_str("e0-seq", &seq.to_string());
+        for (field, value) in fields {
+            sync.push_element(format!("e0-{field}"), value.as_bytes().to_vec());
+        }
+        sync
+    }
+
     #[test]
     fn sync_from_unknown_origin_is_rejected() {
         let (_net, _db, broker, mut rng) = setup();
         let rogue = PeerId::random(&mut rng);
         let peer = PeerId::random(&mut rng);
-        let sync = Message::new(MessageKind::BrokerSync, rogue, 0)
-            .with_str("op", "join")
-            .with_str("peer", &peer.to_urn())
-            .with_str("groups", "math")
-            .with_str("seq", "1");
+        let sync = sync_digest(
+            rogue,
+            1,
+            &[("op", "join"), ("peer", &peer.to_urn()), ("groups", "math")],
+        );
         assert!(broker.handle_message(&sync).is_none(), "gossip is never acked");
         assert_eq!(broker.federation_stats().rejected_unknown_origin, 1);
         assert!(broker.home_of(&peer).is_none(), "nothing was applied");
@@ -4846,11 +4497,11 @@ mod tests {
         let origin = PeerId::random(&mut rng);
         let peer = PeerId::random(&mut rng);
         broker.add_peer_broker(origin);
-        let sync = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "join")
-            .with_str("peer", &peer.to_urn())
-            .with_str("groups", "math,chem")
-            .with_str("seq", "1");
+        let sync = sync_digest(
+            origin,
+            1,
+            &[("op", "join"), ("peer", &peer.to_urn()), ("groups", "math,chem")],
+        );
         broker.handle_message(&sync);
         assert_eq!(broker.federation_stats().syncs_applied, 1);
         assert_eq!(broker.home_of(&peer), Some(origin));
@@ -4870,30 +4521,31 @@ mod tests {
         let origin = PeerId::random(&mut rng);
         let owner = PeerId::random(&mut rng);
         broker.add_peer_broker(origin);
-        let publish = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "publish")
-            .with_str("group", "math")
-            .with_str("doc-type", "jxta:PipeAdvertisement")
-            .with_str("owner", &owner.to_urn())
-            .with_str("xml", "<remote/>")
-            .with_str("seq", "1");
+        let publish = sync_digest(
+            origin,
+            1,
+            &[
+                ("op", "publish"),
+                ("group", "math"),
+                ("doc-type", "jxta:PipeAdvertisement"),
+                ("owner", &owner.to_urn()),
+                ("xml", "<remote/>"),
+            ],
+        );
         broker.handle_message(&publish);
         assert_eq!(
             broker.lookup(&GroupId::new("math"), "jxta:PipeAdvertisement", Some(owner)),
             vec!["<remote/>".to_string()]
         );
 
-        let join = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "join")
-            .with_str("peer", &owner.to_urn())
-            .with_str("groups", "math")
-            .with_str("seq", "2");
+        let join = sync_digest(
+            origin,
+            2,
+            &[("op", "join"), ("peer", &owner.to_urn()), ("groups", "math")],
+        );
         broker.handle_message(&join);
         assert!(broker.groups().is_member(&GroupId::new("math"), &owner));
-        let leave = Message::new(MessageKind::BrokerSync, origin, 0)
-            .with_str("op", "leave")
-            .with_str("peer", &owner.to_urn())
-            .with_str("seq", "3");
+        let leave = sync_digest(origin, 3, &[("op", "leave"), ("peer", &owner.to_urn())]);
         broker.handle_message(&leave);
         assert!(!broker.groups().is_member(&GroupId::new("math"), &owner));
         assert!(broker.home_of(&owner).is_none());

@@ -803,64 +803,11 @@ mod tests {
         assert_eq!(stats.publishes, 1);
         assert_eq!(stats.publish_fanout_max, 2, "mesh fan-out is N-1");
         assert_eq!(stats.eager_pushes, 0, "no Plumtree below the threshold");
-    }
 
-    #[test]
-    fn engagement_threshold_is_a_config_knob() {
-        // Default rule: engage once peers outgrow the active view.
+        // The fabric engages exactly once the peers outgrow the active view.
         let (_net, _db, brokers) = make_view_brokers(6, 3, 8, 0xE830);
         let federation = InlineFederation::new(brokers);
         assert!(federation.broker(0).epidemic_engaged(), "5 peers > view 3");
-
-        // Pinned high: the same federation stays full mesh — a deployment
-        // can hold the mesh fabric up to a larger backbone than its view.
-        let mut rng = HmacDrbg::from_seed_u64(0xE831);
-        let network = SimNetwork::new(LinkModel::ideal());
-        let database = Arc::new(UserDatabase::new());
-        let build = |threshold: usize, rng: &mut HmacDrbg| -> Vec<Arc<Broker>> {
-            (0..6)
-                .map(|i| {
-                    Broker::new(
-                        PeerId::random(rng),
-                        BrokerConfig::named(format!("t{i}"))
-                            .with_view_capacities(3, 8)
-                            .with_engagement_threshold(threshold),
-                        Arc::clone(&network),
-                        Arc::clone(&database),
-                    )
-                })
-                .collect()
-        };
-        let held = InlineFederation::new(build(16, &mut rng));
-        assert!(
-            !held.broker(0).epidemic_engaged(),
-            "threshold 16 holds 5 peers in full mesh despite view 3"
-        );
-        // Pinned at zero: even a tiny federation engages (the test knob).
-        let eager = InlineFederation::new(build(0, &mut rng));
-        assert!(
-            eager.broker(0).epidemic_engaged(),
-            "threshold 0 engages at any size"
-        );
-        // Both shapes still replicate correctly.
-        let alice = PeerId::random(&mut rng);
-        held.broker(0).establish_session(alice, "alice");
-        held.broker(0).index_and_distribute(
-            alice,
-            &GroupId::new("math"),
-            "jxta:PipeAdvertisement",
-            "<held/>",
-        );
-        held.pump();
-        assert!(held.converged());
-        eager.broker(1).index_and_distribute(
-            PeerId::random(&mut rng),
-            &GroupId::new("math"),
-            "jxta:PipeAdvertisement",
-            "<eager/>",
-        );
-        eager.pump();
-        assert!(eager.repair_until_converged(4).is_some());
     }
 
     #[test]
@@ -2801,8 +2748,8 @@ mod shard_proptests {
 #[cfg(test)]
 mod epidemic_proptests {
     //! Membership-churn safety of the two-layer fabric, generalized over
-    //! mesh × epidemic exactly like the lane proptests generalize over
-    //! pipelines: random join/leave/crash sequences of *brokers* must leave
+    //! mesh × epidemic exactly like the ingress proptests generalize over
+    //! verify-worker counts: random join/leave/crash sequences of *brokers* must leave
     //! every survivor with a non-empty active view, an overlay whose
     //! active-view edges reach every live broker (the reachability oracle —
     //! the pinned ring successors guarantee it structurally), and fully

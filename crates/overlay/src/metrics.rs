@@ -166,52 +166,15 @@ pub struct PipelineStats {
     /// ticket and had to park in the reorder buffer (how often the parallel
     /// verify stage actually ran ahead of arrival order).
     pub reorder_waits: u64,
-    /// Partitioned apply lanes the dispatcher routes into (zero when the
-    /// broker runs single-threaded or inline).
-    pub apply_lanes: u64,
-    /// Partition-local messages applied on a lane (everything else is a
-    /// barrier, applied on the dispatcher itself).
-    pub lane_messages: u64,
-    /// Messages applied by the most loaded lane — together with
-    /// `lane_messages / apply_lanes` this shows how even the shard-key
-    /// spread actually was.
-    pub busiest_lane_messages: u64,
-    /// Partition-spanning messages applied on the dispatcher after a full
-    /// lane drain.
-    pub barriers_applied: u64,
-    /// Barriers that found at least one lane busy and actually had to wait
-    /// for it to quiesce (the rest hit idle lanes and applied immediately).
-    pub barrier_drains: u64,
 }
 
 /// Thread-safe counters for the broker's staged ingress pipeline.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PipelineMetrics {
     messages_pipelined: AtomicU64,
     apply_batches: AtomicU64,
     max_apply_batch: AtomicU64,
     reorder_waits: AtomicU64,
-    barriers_applied: AtomicU64,
-    barrier_drains: AtomicU64,
-    /// One applied-message counter per apply lane, sized by
-    /// [`PipelineMetrics::configure_lanes`] when the broker spawns.  Each
-    /// lane thread holds a clone of the `Arc` and bumps its own slot, so the
-    /// hot path never touches this mutex.
-    lane_counters: Mutex<std::sync::Arc<[AtomicU64]>>,
-}
-
-impl Default for PipelineMetrics {
-    fn default() -> Self {
-        PipelineMetrics {
-            messages_pipelined: AtomicU64::new(0),
-            apply_batches: AtomicU64::new(0),
-            max_apply_batch: AtomicU64::new(0),
-            reorder_waits: AtomicU64::new(0),
-            barriers_applied: AtomicU64::new(0),
-            barrier_drains: AtomicU64::new(0),
-            lane_counters: Mutex::with_class("metrics.lane_counters", std::sync::Arc::from(Vec::new())),
-        }
-    }
 }
 
 impl PipelineMetrics {
@@ -232,57 +195,13 @@ impl PipelineMetrics {
         self.reorder_waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sizes the per-lane counters for a broker spawning `lanes` apply lanes
-    /// and returns the shared counter array (one slot per lane).  Each lane
-    /// thread keeps a clone and bumps its own slot directly.
-    pub fn configure_lanes(&self, lanes: usize) -> std::sync::Arc<[AtomicU64]> {
-        let counters: std::sync::Arc<[AtomicU64]> =
-            (0..lanes).map(|_| AtomicU64::new(0)).collect();
-        *self.lane_counters.lock() = std::sync::Arc::clone(&counters);
-        counters
-    }
-
-    /// Records a partition-local message applied on the dispatcher via the
-    /// idle-lane fast path; it still counts against the lane that owns the
-    /// partition, so lane-load metrics reflect routing, not thread identity.
-    pub fn count_lane_message(&self, lane: usize) {
-        if let Some(counter) = self.lane_counters.lock().get(lane) {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a partition-spanning message applied after a lane drain.
-    pub fn count_barrier(&self) {
-        self.barriers_applied.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a barrier that found at least one busy lane and had to wait.
-    pub fn count_barrier_drain(&self) {
-        self.barrier_drains.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-lane applied-message counts, in lane order.
-    pub fn lane_loads(&self) -> Vec<u64> {
-        self.lane_counters
-            .lock()
-            .iter()
-            .map(|counter| counter.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Consistent snapshot of the counters.
     pub fn snapshot(&self) -> PipelineStats {
-        let lanes = self.lane_loads();
         PipelineStats {
             messages_pipelined: self.messages_pipelined.load(Ordering::Relaxed),
             apply_batches: self.apply_batches.load(Ordering::Relaxed),
             max_apply_batch: self.max_apply_batch.load(Ordering::Relaxed),
             reorder_waits: self.reorder_waits.load(Ordering::Relaxed),
-            apply_lanes: lanes.len() as u64,
-            lane_messages: lanes.iter().sum(),
-            busiest_lane_messages: lanes.iter().copied().max().unwrap_or(0),
-            barriers_applied: self.barriers_applied.load(Ordering::Relaxed),
-            barrier_drains: self.barrier_drains.load(Ordering::Relaxed),
         }
     }
 }
@@ -742,28 +661,6 @@ mod tests {
         assert_eq!(stats.apply_batches, 3);
         assert_eq!(stats.max_apply_batch, 5);
         assert_eq!(stats.reorder_waits, 1);
-        assert_eq!(stats.apply_lanes, 0, "no lanes configured");
-    }
-
-    #[test]
-    fn pipeline_metrics_aggregate_lane_counters() {
-        let metrics = PipelineMetrics::new();
-        let counters = metrics.configure_lanes(3);
-        counters[0].fetch_add(4, Ordering::Relaxed);
-        counters[2].fetch_add(7, Ordering::Relaxed);
-        metrics.count_barrier();
-        metrics.count_barrier();
-        metrics.count_barrier_drain();
-        let stats = metrics.snapshot();
-        assert_eq!(stats.apply_lanes, 3);
-        assert_eq!(stats.lane_messages, 11);
-        assert_eq!(stats.busiest_lane_messages, 7);
-        assert_eq!(stats.barriers_applied, 2);
-        assert_eq!(stats.barrier_drains, 1);
-        assert_eq!(metrics.lane_loads(), vec![4, 0, 7]);
-        // Reconfiguring replaces the counter array.
-        metrics.configure_lanes(1);
-        assert_eq!(metrics.snapshot().lane_messages, 0);
     }
 
     #[test]

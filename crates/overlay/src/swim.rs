@@ -102,7 +102,9 @@ pub struct TickPlan {
 /// Outcome of feeding a suspicion into the detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuspectOutcome {
-    /// Stale (older incarnation) or unknown member: nothing changed.
+    /// Stale (older incarnation) or unknown member, or an accusation of
+    /// this broker at `u64::MAX` that no incarnation can outrank: nothing
+    /// changed.
     Ignored,
     /// The member is now locally suspect.
     Suspected,
@@ -127,7 +129,8 @@ pub enum AliveOutcome {
 /// Outcome of feeding a death verdict into the detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadOutcome {
-    /// Stale (a newer incarnation already cleared it) or unknown member.
+    /// Stale (a newer incarnation already cleared it) or unknown member,
+    /// or an unrefutable verdict on this broker at `u64::MAX`.
     Ignored,
     /// The member is now locally confirmed dead; the broker evicts it from
     /// the membership view and the Plumtree edges.
@@ -360,14 +363,24 @@ impl SwimDetector {
         }
     }
 
+    /// Adopts an incarnation strictly above an accusation of this broker at
+    /// `accused`, returning it.  `accused` comes off the wire: at `u64::MAX`
+    /// no higher incarnation exists, so the accusation cannot be refuted
+    /// and is ignored (`None`) instead of overflowing.
+    fn refute(&mut self, accused: u64) -> Option<u64> {
+        self.incarnation = self.incarnation.max(accused).checked_add(1)?;
+        Some(self.incarnation)
+    }
+
     /// A gossiped suspicion about `peer` at `incarnation`.  Second-hand:
     /// only honoured when the accused incarnation is current, and always
     /// refuted when the accused is this broker itself.
     pub fn on_suspect(&mut self, peer: PeerId, incarnation: u64) -> SuspectOutcome {
         if peer == self.own {
-            // Refute: adopt an incarnation strictly above the accusation.
-            self.incarnation = self.incarnation.max(incarnation) + 1;
-            return SuspectOutcome::RefuteWith(self.incarnation);
+            return match self.refute(incarnation) {
+                Some(incarnation) => SuspectOutcome::RefuteWith(incarnation),
+                None => SuspectOutcome::Ignored,
+            };
         }
         let deadline = self.tick + self.suspect_ticks * self.health;
         let Some(record) = self.members.get_mut(&peer) else {
@@ -420,8 +433,10 @@ impl SwimDetector {
     /// A gossiped death verdict for `peer` at `incarnation`.
     pub fn on_dead(&mut self, peer: PeerId, incarnation: u64) -> DeadOutcome {
         if peer == self.own {
-            self.incarnation = self.incarnation.max(incarnation) + 1;
-            return DeadOutcome::RefuteWith(self.incarnation);
+            return match self.refute(incarnation) {
+                Some(incarnation) => DeadOutcome::RefuteWith(incarnation),
+                None => DeadOutcome::Ignored,
+            };
         }
         let Some(record) = self.members.get_mut(&peer) else {
             return DeadOutcome::Ignored;
@@ -553,6 +568,16 @@ mod tests {
             DeadOutcome::RefuteWith(incarnation) => assert!(incarnation > 9),
             other => panic!("own death verdict must refute, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unrefutable_accusation_is_ignored_without_overflow() {
+        let (mut swim, ids) = detector(3, 0x59);
+        assert_eq!(swim.on_suspect(ids[0], u64::MAX), SuspectOutcome::Ignored);
+        assert_eq!(swim.on_dead(ids[0], u64::MAX), DeadOutcome::Ignored);
+        assert_eq!(swim.incarnation(), 0, "no wrapped or partial bump");
+        // A refutable accusation still refutes afterwards.
+        assert_eq!(swim.on_suspect(ids[0], 2), SuspectOutcome::RefuteWith(3));
     }
 
     #[test]

@@ -192,15 +192,17 @@ fn forged_gossip_from_outside_the_federation_is_rejected() {
     assert!(eventually(|| world.federation().converged()));
 
     // A rogue peer (never admitted to the backbone) sends a well-formed
-    // publish gossip trying to poison broker A's index.
+    // publish gossip digest trying to poison broker A's index.
     let rogue = world.plain_client("rogue");
     let forged = jxta_overlay::Message::new(MessageKind::BrokerSync, rogue.id(), 0)
-        .with_str("op", "publish")
-        .with_str("group", "ops")
-        .with_str("doc-type", "jxta:PipeAdvertisement")
-        .with_str("owner", &rogue.id().to_urn())
-        .with_str("xml", "<forged/>")
-        .with_str("seq", "1");
+        .with_str("seq", "1")
+        .with_str("count", "1")
+        .with_str("e0-op", "publish")
+        .with_str("e0-seq", "1")
+        .with_str("e0-group", "ops")
+        .with_str("e0-doc-type", "jxta:PipeAdvertisement")
+        .with_str("e0-owner", &rogue.id().to_urn())
+        .with_str("e0-xml", "<forged/>");
     let index_before = world.broker_at(0).advertisement_snapshot();
     world
         .network()

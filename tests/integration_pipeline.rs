@@ -1,23 +1,21 @@
 //! Integration tests of the staged broker ingress pipeline.
 //!
-//! The pipeline (`BrokerConfig::verify_workers`) splits ingress into an
-//! ingress thread, a parallel decode/pre-verify pool, and a dispatcher that
-//! restores exact arrival order through a ticket reorder buffer and then
-//! routes each message into partitioned apply lanes: partition-local
-//! messages (publishes, keyed by the `(group, owner)` shard key) apply in
-//! parallel across lanes, partition-spanning messages apply under a
-//! full-lane barrier.  Its contract is *observational equivalence* with the
-//! classic single-thread loop: same message sequence in, same broker state
-//! out — per-sender FIFO and the inter-broker replay protection included.
-//! These tests pin that contract:
+//! The pipeline (`BrokerConfig::verify_workers`) runs ingress on a pool of
+//! verify workers: arriving messages are stamped with monotone tickets,
+//! decoded and pre-verified in parallel, and then applied one at a time in
+//! exact ticket order by whichever worker holds the router lock, after the
+//! ticket reorder buffer has restored arrival order.  Its contract is
+//! *observational equivalence* with the classic single-thread loop: same
+//! message sequence in, same broker state out — per-sender FIFO and the
+//! inter-broker replay protection included.  These tests pin that contract:
 //!
 //! * a proptest feeds the identical message sequence to an inline broker
-//!   (direct `process_net`) and pipelined spawned brokers with 1, 2 and 8
-//!   apply lanes, and requires bit-identical final state and federation
-//!   counters from every lane count;
-//! * a unit test checks the barrier ordering directly: a lookup (barrier)
-//!   fired right behind a storm of publishes spread across lanes must
-//!   observe every single one of them;
+//!   (direct `process_net`) and to pipelined spawned brokers with 1, 2 and 8
+//!   verify workers, and requires bit-identical final state and federation
+//!   counters from every worker count;
+//! * a unit test checks ticket order directly: a lookup fired right behind
+//!   a storm of publishes must observe every one of them, however far the
+//!   parallel verify stage ran ahead;
 //! * a concurrency stress test runs many client threads against a pipelined
 //!   2-broker federation with bounded inboxes and an adversarial lossy
 //!   backbone, asserting no replay-protection trips, per-sender ordering of
@@ -44,8 +42,9 @@ const SCRIPT_GROUPS: [&str; 2] = ["math", "chem"];
 
 /// Builds the raw network payload for one scripted op.  `clients` are the
 /// scripted client identities and `fake_broker` a registered peer broker
-/// whose `BrokerSync` traffic exercises the replay protection (stale and
-/// duplicate sequence numbers included, by construction of `a % 8`).
+/// whose one-event `BrokerSync` digests exercise the replay protection
+/// (stale and duplicate sequence numbers included, by construction of
+/// `a % 8`).
 fn script_message(
     op: Op,
     clients: &[PeerId],
@@ -87,17 +86,23 @@ fn script_message(
                 .to_bytes(),
         ),
         4 => (from, vec![a, b, 0xde, 0xad]), // undecodable traffic
-        _ => (
-            fake_broker,
-            Message::new(MessageKind::BrokerSync, fake_broker, 0)
-                .with_str("op", "publish")
-                .with_str("seq", &(u64::from(a) % 8).to_string())
-                .with_str("group", group)
-                .with_str("doc-type", "jxta:FileAdvertisement")
-                .with_str("owner", &owner.to_urn())
-                .with_str("xml", &format!("<file b=\"{b}\"/>"))
-                .to_bytes(),
-        ),
+        _ => {
+            // The transport sequence number doubles as the event version.
+            let seq = (u64::from(a) % 8).to_string();
+            (
+                fake_broker,
+                Message::new(MessageKind::BrokerSync, fake_broker, 0)
+                    .with_str("seq", &seq)
+                    .with_str("count", "1")
+                    .with_str("e0-op", "publish")
+                    .with_str("e0-seq", &seq)
+                    .with_str("e0-group", group)
+                    .with_str("e0-doc-type", "jxta:FileAdvertisement")
+                    .with_str("e0-owner", &owner.to_urn())
+                    .with_str("e0-xml", &format!("<file b=\"{b}\"/>"))
+                    .to_bytes(),
+            )
+        }
     }
 }
 
@@ -156,12 +161,11 @@ proptest! {
 
     /// The pipeline's load-bearing property: for any message sequence
     /// delivered in a fixed total order, the pipelined broker (parallel
-    /// decode/verify, ticket-ordered dispatch into partitioned apply lanes)
-    /// ends in exactly the state the classic inline application produces —
-    /// replay-protection counters included — whatever the lane count.  The
-    /// script mixes partition-local publishes with barrier kinds (connects,
-    /// logins, lookups, inter-broker sync) and undecodable garbage, so every
-    /// dispatch route is exercised.
+    /// decode/verify, apply in ticket order) ends in exactly the state the
+    /// classic inline application produces — replay-protection counters
+    /// included — whatever the worker count.  The script mixes publishes,
+    /// connects, logins, lookups, inter-broker sync and undecodable
+    /// garbage.
     #[test]
     fn pipelined_apply_is_equivalent_to_inline(
         ops in proptest::collection::vec(
@@ -182,15 +186,13 @@ proptest! {
             });
         }
 
-        // Universe B (once per lane count): the same broker identity and
-        // script, but spawned with a verify pool, a bounded inbox and a
-        // partitioned apply stage, fed over the network.
-        for lanes in [1usize, 2, 8] {
+        // Universe B (once per worker count): the same broker identity and
+        // script, but spawned with a verify pool and a bounded inbox, fed
+        // over the network.
+        for workers in [1usize, 2, 8] {
             let (net_b, pipelined_broker, clients_b, fake_b, owner_b) = script_world(
                 0x91BE,
-                BrokerConfig::named("pipelined")
-                    .with_pipeline(3, 16)
-                    .with_apply_lanes(lanes),
+                BrokerConfig::named("pipelined").with_pipeline(workers, 16),
             );
             prop_assert_eq!(inline_broker.id(), pipelined_broker.id());
             let handle = pipelined_broker.spawn();
@@ -211,31 +213,16 @@ proptest! {
                 pipelined_broker.processed_count(),
                 inline_broker.processed_count()
             );
-            let stats = pipelined_broker.pipeline_stats();
-            prop_assert_eq!(stats.apply_lanes, lanes as u64);
-            // Every scripted publish is partition-local, everything else is
-            // a barrier or undecodable (the garbage op occasionally decodes
-            // by accident, so only the publish count is exact).
-            prop_assert_eq!(
-                stats.lane_messages,
-                ops.iter().filter(|(kind, ..)| kind % 6 == 2).count() as u64,
-                "publishes apply on lanes"
-            );
-            prop_assert!(
-                stats.lane_messages + stats.barriers_applied <= stats.messages_pipelined,
-                "lane and barrier applies partition the pipelined messages"
-            );
             handle.shutdown();
         }
     }
 }
 
-/// Direct check of the barrier ordering guarantee: a partition-spanning
-/// message dispatched right behind a storm of partition-local publishes must
-/// observe *all* of them, no matter which lanes they landed on or how far
-/// the lanes had drained when the barrier arrived.
+/// Direct check of the ticket-order guarantee: a lookup fired right behind a
+/// storm of publishes must observe *all* of them, however far the parallel
+/// verify workers ran ahead of one another.
 #[test]
-fn barrier_observes_all_prior_lane_applies() {
+fn lookups_observe_every_prior_publish_in_ticket_order() {
     const GROUPS: usize = 8;
     const ROUNDS: usize = 25;
 
@@ -246,9 +233,7 @@ fn barrier_observes_all_prior_lane_applies() {
     database.register_user(&mut rng, "alice", "pw", &groups);
     let broker = Broker::new(
         PeerId::random(&mut rng),
-        BrokerConfig::named("laned")
-            .with_pipeline(4, 64)
-            .with_apply_lanes(4),
+        BrokerConfig::named("pipelined").with_pipeline(4, 64),
         Arc::clone(&network),
         Arc::clone(&database),
     );
@@ -274,9 +259,8 @@ fn barrier_observes_all_prior_lane_applies() {
         )
         .unwrap();
 
-    // Publishes spread over GROUPS partitions (distinct shard keys, hence
-    // spread over lanes), immediately chased by one lookup per round — a
-    // barrier that must see every publish of its own round.
+    // Publishes spread over GROUPS groups, immediately chased by one lookup
+    // per round that must see every publish of its own round.
     let mut seq = 2u64;
     for round in 0..ROUNDS {
         for group in &groups {
@@ -307,7 +291,7 @@ fn barrier_observes_all_prior_lane_applies() {
     }
 
     // Every lookup response must carry the round's freshly published XML:
-    // the barrier happened-after all its round's lane applies.
+    // it applied after every earlier ticket.
     let mut lookups_seen = 0usize;
     let deadline = Deadline::after(Duration::from_secs(10));
     while lookups_seen < ROUNDS {
@@ -328,17 +312,6 @@ fn barrier_observes_all_prior_lane_applies() {
         );
         lookups_seen += 1;
     }
-
-    let stats = broker.pipeline_stats();
-    assert_eq!(stats.apply_lanes, 4);
-    assert!(
-        stats.lane_messages >= (GROUPS * ROUNDS) as u64,
-        "publishes applied on lanes: {stats:?}"
-    );
-    assert!(
-        stats.barriers_applied >= ROUNDS as u64,
-        "lookups applied as barriers: {stats:?}"
-    );
     handle.shutdown();
 }
 

@@ -10,6 +10,7 @@
 //! cargo run --release -p jxta-bench --bin experiments -- e7        # delta repair: tree descent vs flat snapshots, writes BENCH_7.json
 //! cargo run --release -p jxta-bench --bin experiments -- e8        # epidemic backbone vs full mesh fan-out, writes BENCH_8.json
 //! cargo run --release -p jxta-bench --bin experiments -- e9        # SWIM detection latency & false positives vs drop rate, writes BENCH_9.json
+//! cargo run --release -p jxta-bench --bin experiments -- e11       # crypto layer: Montgomery vs division mod_pow, writes BENCH_11.json
 //! cargo run --release -p jxta-bench --bin experiments -- fanout    # ablation A3
 //! cargo run --release -p jxta-bench --bin experiments -- all --quick --json
 //! ```
@@ -18,12 +19,13 @@
 //! runs); `--json` additionally prints machine-readable results.
 
 use jxta_bench::{
-    experiment_delta_repair, experiment_epidemic_fanout, experiment_federation,
-    experiment_group_fanout, experiment_ingest_throughput, experiment_join_overhead,
-    experiment_msg_overhead, experiment_repair, experiment_swim_detection,
-    format_delta_repair_report, format_epidemic_fanout_report, format_fanout_report,
-    format_federation_report, format_ingest_report, format_join_report, format_msg_report,
-    format_repair_report, format_swim_detection_report, write_bench6_json, write_bench7_json,
+    experiment_crypto_layer, experiment_delta_repair, experiment_epidemic_fanout,
+    experiment_federation, experiment_group_fanout, experiment_ingest_throughput,
+    experiment_join_overhead, experiment_msg_overhead, experiment_repair,
+    experiment_swim_detection, format_crypto_layer_report, format_delta_repair_report,
+    format_epidemic_fanout_report, format_fanout_report, format_federation_report,
+    format_ingest_report, format_join_report, format_msg_report, format_repair_report,
+    format_swim_detection_report, write_bench11_json, write_bench6_json, write_bench7_json,
     write_bench8_json, write_bench9_json, ExperimentConfig, FIGURE2_PAYLOAD_SIZES,
 };
 
@@ -144,13 +146,25 @@ fn main() {
         }
     }
 
+    if which == "e11" || which == "crypto" || which == "all" {
+        let result = experiment_crypto_layer(&config);
+        println!("{}", format_crypto_layer_report(&result));
+        match write_bench11_json(&result) {
+            Ok(path) => println!("wrote {}", path.display()),
+            Err(error) => eprintln!("could not write BENCH_11.json: {error}"),
+        }
+        if json {
+            println!("{}\n", serde_json::to_string_pretty(&result).unwrap());
+        }
+    }
+
     if ![
         "e1", "e2", "e3", "federation", "e4", "repair", "e5", "e6", "ingest", "e7", "delta",
-        "e8", "epidemic", "e9", "swim", "fanout", "all",
+        "e8", "epidemic", "e9", "swim", "e11", "crypto", "fanout", "all",
     ]
     .contains(&which.as_str())
     {
-        eprintln!("unknown experiment {which:?}; expected e1, e2, e3, e4, e5, e6, e7, e8, e9, fanout or all");
+        eprintln!("unknown experiment {which:?}; expected e1, e2, e3, e4, e5, e6, e7, e8, e9, e11, fanout or all");
         std::process::exit(1);
     }
 }

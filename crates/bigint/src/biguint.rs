@@ -104,6 +104,10 @@ impl BigUint {
         BigUint { limbs }
     }
 
+    /// The little-endian limbs (no trailing zeros).
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
 
     /// Number of significant bits (`0` for the value zero).
     pub fn bits(&self) -> usize {

@@ -8,8 +8,9 @@
 //!
 //! * [`BigUint`] — an unsigned big integer stored as little-endian `u64`
 //!   limbs, with the full set of arithmetic, bit and comparison operations.
-//! * [`modular`] — modular exponentiation (square-and-multiply with a sliding
-//!   window), modular inverse via the extended Euclidean algorithm and
+//! * [`modular`] — modular exponentiation (Montgomery multiplication for odd
+//!   moduli, long division for even ones; a fixed 4-bit window over long
+//!   exponents), modular inverse via the extended Euclidean algorithm and
 //!   related helpers.
 //! * [`prime`] — Miller–Rabin probabilistic primality testing and random
 //!   prime generation used by RSA key generation.

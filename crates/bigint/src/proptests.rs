@@ -4,7 +4,7 @@
 //! round-trip properties of the serialisation formats over randomly generated
 //! values of up to several hundred bits.
 
-use crate::modular::{mod_inverse, mod_mul, mod_pow};
+use crate::modular::{mod_inverse, mod_mul, mod_pow, mod_pow_division};
 use crate::BigUint;
 use proptest::prelude::*;
 
@@ -138,5 +138,60 @@ proptest! {
         let bits = a.bits();
         prop_assert!(a >= (BigUint::one() << (bits - 1)));
         prop_assert!(a < (BigUint::one() << bits));
+    }
+}
+
+/// Strategy producing an odd modulus of 1–33 limbs (up to 2112 bits).  One
+/// case in four is all-ones limbs, which maximises every Montgomery carry.
+fn arb_odd_modulus() -> impl Strategy<Value = BigUint> {
+    (
+        proptest::collection::vec(any::<u64>(), 1..=33),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(mut limbs, ones, wide)| {
+            if ones && wide {
+                limbs.fill(u64::MAX);
+            }
+            limbs[0] |= 1;
+            let top = limbs.len() - 1;
+            limbs[top] = limbs[top].max(1); // keep the drawn limb count
+            BigUint::from_limbs(limbs)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The Montgomery path `mod_pow` takes for odd moduli agrees with the
+    /// division-based reference on edge bases (0, 1, n−1, ≥ n) and edge
+    /// exponents (0, 1, 65537, full width, short).
+    #[test]
+    fn montgomery_mod_pow_matches_division_oracle(
+        n in arb_odd_modulus(),
+        base_kind in 0u8..5,
+        exp_kind in 0u8..5,
+        raw in proptest::collection::vec(any::<u64>(), 0..70),
+        short in any::<u32>(),
+    ) {
+        let base = match base_kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => &n - BigUint::one(),
+            3 => &n + BigUint::from_limbs(raw.clone()),
+            _ => BigUint::from_limbs(raw.clone()),
+        };
+        let limbs = n.limbs().len();
+        let exponent = match exp_kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => BigUint::from(65_537u64),
+            3 => BigUint::from_limbs(raw.iter().copied().chain([u64::MAX; 33]).take(limbs).collect()),
+            _ => BigUint::from(short),
+        };
+        prop_assert_eq!(
+            mod_pow(&base, &exponent, &n),
+            mod_pow_division(&base, &exponent, &n)
+        );
     }
 }

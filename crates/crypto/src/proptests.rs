@@ -7,6 +7,8 @@ use crate::envelope::{open_envelope, seal_envelope};
 use crate::hmac::hmac_sha256;
 use crate::rsa::RsaKeyPair;
 use crate::sha2::{sha256, sha512};
+use jxta_bigint::modular::mod_pow_division;
+use jxta_bigint::BigUint;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -17,6 +19,18 @@ fn shared_keypair() -> &'static RsaKeyPair {
     KP.get_or_init(|| {
         let mut rng = HmacDrbg::from_seed_u64(0x9999_5eed);
         RsaKeyPair::generate(&mut rng, 1024).expect("keygen")
+    })
+}
+
+/// One key pair per modulus size the Montgomery oracle covers, generated
+/// once.
+fn sized_keypairs() -> &'static [RsaKeyPair; 3] {
+    static KPS: OnceLock<[RsaKeyPair; 3]> = OnceLock::new();
+    KPS.get_or_init(|| {
+        [512, 1024, 2048].map(|bits| {
+            let mut rng = HmacDrbg::from_seed_u64(0x0dd_5eed ^ bits as u64);
+            RsaKeyPair::generate(&mut rng, bits).expect("keygen")
+        })
     })
 }
 
@@ -161,6 +175,42 @@ proptest! {
             prop_assert_eq!(va, vb);
         } else {
             prop_assert_ne!(va, vb);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// RSA on the Montgomery path round-trips at 512, 1024 and 2048 bits
+    /// (OAEP at the two sizes it fits), and every signature also checks out
+    /// under the division-based reference exponentiation.
+    #[test]
+    fn rsa_roundtrips_at_every_key_size(
+        msg in proptest::collection::vec(any::<u8>(), 0..60),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = HmacDrbg::from_seed_u64(seed);
+        for kp in sized_keypairs() {
+            let k = kp.public.modulus_len();
+            let sig = kp.private.sign(&msg).unwrap();
+            prop_assert!(kp.public.verify(&msg, &sig).is_ok());
+            let em = mod_pow_division(
+                &BigUint::from_bytes_be(&sig),
+                kp.public.exponent(),
+                kp.public.modulus(),
+            )
+            .to_bytes_be_padded(k);
+            prop_assert_eq!(&em[..2], &[0x00, 0x01]);
+            prop_assert_eq!(&em[k - 32..], &sha256(&msg)[..]);
+
+            let ct = kp.public.encrypt_pkcs1_v15(&mut rng, &msg).unwrap();
+            prop_assert_eq!(kp.private.decrypt_pkcs1_v15(&ct).unwrap(), msg.clone());
+            // OAEP-SHA-256 needs 2·32 + 2 bytes of overhead: not at 512 bits.
+            if k >= 66 + msg.len() {
+                let ct = kp.public.encrypt_oaep(&mut rng, &msg).unwrap();
+                prop_assert_eq!(kp.private.decrypt_oaep(&ct).unwrap(), msg.clone());
+            }
         }
     }
 }

@@ -229,23 +229,19 @@ impl RsaPublicKey {
                 max_len: k - 11,
             });
         }
-        // EM = 0x00 || 0x02 || PS || 0x00 || M, PS non-zero random bytes.
+        // EM = 0x00 || 0x02 || PS || 0x00 || M, PS non-zero random bytes:
+        // one draw for all of PS, then a redraw per zero byte.
         let ps_len = k - message.len() - 3;
-        let mut em = Vec::with_capacity(k);
-        em.push(0x00);
-        em.push(0x02);
-        for _ in 0..ps_len {
-            loop {
-                let mut b = [0u8; 1];
-                rng.fill_bytes(&mut b);
-                if b[0] != 0 {
-                    em.push(b[0]);
-                    break;
-                }
+        let mut em = vec![0u8; k];
+        em[1] = 0x02;
+        let ps = &mut em[2..2 + ps_len];
+        rng.fill_bytes(ps);
+        for b in ps {
+            while *b == 0 {
+                rng.fill_bytes(std::slice::from_mut(b));
             }
         }
-        em.push(0x00);
-        em.extend_from_slice(message);
+        em[3 + ps_len..].copy_from_slice(message);
         let m = BigUint::from_bytes_be(&em);
         Ok(self.raw_encrypt(&m).to_bytes_be_padded(k))
     }
@@ -537,6 +533,67 @@ mod tests {
             assert_eq!(ct.len(), kp.public.modulus_len());
             assert_eq!(kp.private.decrypt_pkcs1_v15(&ct).unwrap(), msg, "len {len}");
         }
+    }
+
+    /// Counts `fill_bytes` calls and the zero bytes they produced.
+    struct CountingRng {
+        inner: HmacDrbg,
+        fills: usize,
+        zeros: usize,
+    }
+
+    impl RngCore for CountingRng {
+        fn next_u32(&mut self) -> u32 {
+            self.inner.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.inner.next_u64()
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.inner.fill_bytes(dest);
+            self.fills += 1;
+            self.zeros += dest.iter().filter(|&&b| b == 0).count();
+        }
+        fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
+            self.fill_bytes(dest);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn pkcs1_v15_padding_is_drawn_in_one_call() {
+        let kp = test_keypair();
+        let k = kp.public.modulus_len();
+        let msg = b"wrapped key";
+        let ps_len = k - msg.len() - 3;
+        let mut redrawn = 0;
+        for seed in 0..32 {
+            let mut rng = CountingRng {
+                inner: HmacDrbg::from_seed_u64(seed),
+                fills: 0,
+                zeros: 0,
+            };
+            let ct = kp.public.encrypt_pkcs1_v15(&mut rng, msg).unwrap();
+            // One fill for PS, plus one per zero byte that had to be redrawn.
+            assert!(
+                rng.fills <= 1 + rng.zeros,
+                "seed {seed}: {} fills",
+                rng.fills
+            );
+            redrawn += rng.zeros;
+            let em = kp
+                .private
+                .raw_decrypt(&BigUint::from_bytes_be(&ct))
+                .to_bytes_be_padded(k);
+            assert_eq!(em[..2], [0x00, 0x02]);
+            assert!(
+                em[2..2 + ps_len].iter().all(|&b| b != 0),
+                "seed {seed}: zero in PS"
+            );
+            assert_eq!(em[2 + ps_len], 0x00);
+            assert_eq!(kp.private.decrypt_pkcs1_v15(&ct).unwrap(), msg);
+        }
+        assert!(redrawn > 0, "no seed exercised the zero-byte redraw");
     }
 
     #[test]

@@ -1444,10 +1444,12 @@ impl Broker {
         let epidemic = self.epidemic_engaged();
         let mut broadcasts = 0usize;
         let mut duplicates = 0usize;
+        // A forged count must not outrun the elements the message carries.
         let count = message
             .element_str("count")
             .and_then(|c| c.parse::<usize>().ok())
-            .unwrap_or(0);
+            .unwrap_or(0)
+            .min(message.element_count());
         // One name→content index up front: per-field `element` scans would
         // make applying an n-event digest O(n²).
         let index = message.index();
@@ -3048,7 +3050,13 @@ impl Broker {
         // O(n²) element visits.
         let index = message.index();
         let text = |name: &str| index.get_str(name);
-        let count = |name: &str| text(name).and_then(|c| c.parse::<usize>().ok());
+        // Every section count is bounded by the elements the message
+        // carries: a forged count must not spin the merge loops.
+        let count = |name: &str| {
+            text(name)
+                .and_then(|c| c.parse::<usize>().ok())
+                .map(|c| c.min(message.element_count()))
+        };
         // Range-scoped pages (the final legs of a tree descent) only speak
         // for `[lo, hi]` of the shard-key space: an entry the page lacks is
         // evidence of deletion only if its key is inside the page's range.
@@ -4020,7 +4028,8 @@ impl Broker {
             let count = message
                 .element_str("count")
                 .and_then(|c| c.parse::<usize>().ok())
-                .unwrap_or(0);
+                .unwrap_or(0)
+                .min(message.element_count());
             for i in 0..count {
                 let (Some(owner), Some(vseq), Some(vorigin), Some(xml)) = (
                     message
@@ -4618,6 +4627,85 @@ mod tests {
             "merge visited {visited} elements for {entries} entries — \
              the O(n²) linear-scan merge is back"
         );
+    }
+
+    /// Hands `message` to the broker on a helper thread and fails unless the
+    /// handler returns promptly: a loop run up to a forged `count` of
+    /// `usize::MAX` would spin for ~2⁶⁴ iterations.
+    fn handle_promptly(broker: &Arc<Broker>, message: Message) {
+        let (done, returned) = std::sync::mpsc::channel();
+        let broker = Arc::clone(broker);
+        let handler = std::thread::spawn(move || {
+            broker.handle_message(&message);
+            let _ = done.send(());
+        });
+        assert_ne!(
+            returned.recv_timeout(Duration::from_secs(10)),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "the handler is still looping over a forged count"
+        );
+        handler.join().expect("the handler panicked");
+    }
+
+    #[test]
+    fn sync_with_max_count_returns_and_applies_nothing() {
+        let (_net, _db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        broker.add_peer_broker(origin);
+        let sync = Message::new(MessageKind::BrokerSync, origin, 0)
+            .with_str("count", &usize::MAX.to_string())
+            .with_str("seq", "1");
+        handle_promptly(&broker, sync);
+        assert_eq!(broker.federation_stats().syncs_applied, 0);
+        assert!(broker.routing_snapshot().is_empty());
+        assert!(broker.advertisement_snapshot().is_empty());
+    }
+
+    #[test]
+    fn snapshot_with_max_counts_returns_and_applies_nothing() {
+        let (_net, _db, broker, mut rng) = setup();
+        let origin = PeerId::random(&mut rng);
+        broker.add_peer_broker(origin);
+        // The membership merge runs only beside a presence section, so the
+        // snapshot forges all three section counts.
+        let snapshot = Message::new(MessageKind::AntiEntropySnapshot, origin, 0)
+            .with_str("seq", "1")
+            .with_str("want", "")
+            .with_str("p-count", &usize::MAX.to_string())
+            .with_str("m-count", &usize::MAX.to_string())
+            .with_str("a-count", &usize::MAX.to_string());
+        handle_promptly(&broker, snapshot);
+        assert_eq!(broker.federation_stats().entries_repaired, 0);
+        assert!(broker.routing_snapshot().is_empty());
+        assert!(broker.advertisement_snapshot().is_empty());
+    }
+
+    #[test]
+    fn shard_response_with_max_count_returns_and_merges_nothing() {
+        let (_net, _db, broker, mut rng) = setup();
+        let replica = PeerId::random(&mut rng);
+        let client = PeerId::random(&mut rng);
+        broker.add_peer_broker(replica);
+        broker.pending_lookups.lock().insert(
+            7,
+            PendingLookup {
+                client,
+                client_request: 1,
+                remaining: 2,
+                adv_results: BTreeMap::new(),
+                is_member: false,
+                membership: false,
+            },
+        );
+        let response = Message::new(MessageKind::ShardResponse, replica, 0)
+            .with_str("seq", "1")
+            .with_str("query", "7")
+            .with_str("count", &usize::MAX.to_string());
+        handle_promptly(&broker, response);
+        let pending = broker.pending_lookups.lock();
+        let state = pending.get(&7).expect("one of two replicas answered");
+        assert_eq!(state.remaining, 1);
+        assert!(state.adv_results.is_empty());
     }
 
     #[test]

@@ -29,6 +29,7 @@ use jxta_crypto::drbg::HmacDrbg;
 use jxta_crypto::error::CryptoError;
 use jxta_crypto::rsa::RsaPublicKey;
 use jxta_crypto::sigcache::{DigestCache, SigCacheStats, VerifiedSigCache};
+use jxta_overlay::backbone::{ADV_SECTION, SYNC_EVENTS};
 use jxta_overlay::broker::{Broker, BrokerExtension};
 use jxta_overlay::{GroupId, Message, MessageKind, OverlayError, PeerId};
 use parking_lot::Mutex;
@@ -859,37 +860,23 @@ impl BrokerExtension for SecureBrokerExtension {
             }
             VetVerdict::Unsigned => {}
         };
-        match message.kind {
+        // Bulk messages go through the codec's one-pass, count-clamped
+        // reader: this stage runs before admission, on traffic from anyone.
+        let bulk = match message.kind {
             MessageKind::PublishAdvertisement => {
                 if let Some(xml) = message.element_str("xml") {
                     warm(&xml);
                 }
+                return;
             }
-            MessageKind::BrokerSync => {
-                if let Some(count) = message
-                    .element_str("count")
-                    .and_then(|c| c.parse::<usize>().ok())
-                {
-                    for i in 0..count {
-                        if let Some(xml) = message.element_str(&format!("e{i}-xml")) {
-                            warm(&xml);
-                        }
-                    }
-                }
+            MessageKind::BrokerSync => SYNC_EVENTS,
+            MessageKind::AntiEntropySnapshot => ADV_SECTION,
+            _ => return,
+        };
+        for entry in bulk.read(message).unwrap_or_default() {
+            if let Some(xml) = entry.text("xml") {
+                warm(&xml);
             }
-            MessageKind::AntiEntropySnapshot => {
-                if let Some(count) = message
-                    .element_str("a-count")
-                    .and_then(|c| c.parse::<usize>().ok())
-                {
-                    for i in 0..count {
-                        if let Some(xml) = message.element_str(&format!("a{i}-xml")) {
-                            warm(&xml);
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
     }
 
@@ -1473,6 +1460,54 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("revoked"));
         assert_eq!(w.extension.stats().revoked_rejected, 1);
+    }
+
+    /// Pre-verification runs before admission, so it sees traffic from any
+    /// sender: a forged entry count must not make it loop.  Each message
+    /// goes through [`Broker::decode_and_preverify`] on its own thread and
+    /// must return within the deadline the broker's own forged-count tests
+    /// use.
+    #[test]
+    fn preverify_with_max_count_returns_promptly() {
+        let mut w = world();
+        let stranger = client_identity(&mut w.rng).peer_id();
+        let forged = [
+            Message::new(MessageKind::BrokerSync, stranger, 0)
+                .with_str("seq", "1")
+                .with_str("count", &usize::MAX.to_string()),
+            Message::new(MessageKind::AntiEntropySnapshot, stranger, 0)
+                .with_str("seq", "1")
+                .with_str("want", "")
+                .with_str("a-count", &usize::MAX.to_string()),
+        ];
+        let mut waiting = Vec::new();
+        for message in forged {
+            let (done, returned) = std::sync::mpsc::channel();
+            let broker = Arc::clone(&w.broker);
+            let to = broker.id();
+            std::thread::spawn(move || {
+                let delivered = jxta_overlay::net::NetMessage {
+                    from: stranger,
+                    to,
+                    payload: message.to_bytes(),
+                    wire_time: std::time::Duration::ZERO,
+                };
+                let decoded = broker.decode_and_preverify(&delivered);
+                let _ = done.send(decoded.map(|m| m.kind));
+            });
+            waiting.push(returned);
+        }
+        for (returned, kind) in waiting
+            .into_iter()
+            .zip([MessageKind::BrokerSync, MessageKind::AntiEntropySnapshot])
+        {
+            assert_eq!(
+                returned.recv_timeout(std::time::Duration::from_secs(10)),
+                Ok(Some(kind)),
+                "preverify of a forged {kind:?} count is still looping"
+            );
+        }
+        assert_eq!(w.extension.stats().ingress_preverified, 0);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! - `unclassed-lock` — every lock in library code is constructed with
 //!   `with_class(...)` so the lock-order detector can name it; a bare
 //!   `Mutex::new` is invisible to cycle detection.
+//! - `entry-codec` — numbered entry names (`{p}{i}-{field}`, e.g.
+//!   `format!("e{i}-xml")`) are built and read only by the backbone codec
+//!   (`overlay/src/backbone.rs`).  Hand-rolled copies drifted before: one
+//!   pre-admission reader kept looping over a forged count after the
+//!   broker's own readers were clamped.
 //!
 //! A violation is suppressed only by an explicit annotation on the same
 //! line, the line above, or (for `touch-repair`) the `fn` signature line:
@@ -56,6 +61,7 @@ pub const RULES: &[&str] = &[
     "std-sync-lock",
     "raw-clock",
     "unclassed-lock",
+    "entry-codec",
 ];
 
 /// One lint violation, addressable as `file:line`.
@@ -107,6 +113,8 @@ const TAINT_SOURCES: &[&str] = &["from_be_bytes", "from_le_bytes", ".parse::<", 
 struct Line {
     /// Source with comments and string-literal bodies blanked out.
     stripped: String,
+    /// The line as written (format strings are data the rules inspect).
+    raw: String,
     /// Rules named by a well-formed `lint:allow(rule, reason)` on this line.
     allows: Vec<String>,
 }
@@ -136,6 +144,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
         || rel_path.ends_with("federation.rs")
         || rel_path.ends_with("broker_ext.rs");
     let clock_scope = !rel_path.contains("crates/bench/");
+    let codec_scope = !rel_path.ends_with("overlay/src/backbone.rs");
 
     let lines = preprocess(source);
     let allowed = |rule: &str, idx: usize| -> bool {
@@ -252,6 +261,21 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
                 rule: "std-sync-lock",
                 message: "std::sync lock is invisible to the lock-order detector; \
                           use the instrumented parking_lot types"
+                    .to_string(),
+            });
+        }
+
+        if codec_scope
+            && text.contains("format!(")
+            && line.raw.split("format!(\"").skip(1).any(builds_entry_name)
+            && !allowed("entry-codec", idx)
+        {
+            out.push(Violation {
+                file: rel_path.to_string(),
+                line: lineno,
+                rule: "entry-codec",
+                message: "hand-built `{p}{i}-` entry name; read and write entry lists \
+                          through jxta_overlay::backbone::EntryList"
                     .to_string(),
             });
         }
@@ -450,7 +474,11 @@ fn preprocess(source: &str) -> Vec<Line> {
         // An unterminated string keeps state only within the line: Rust
         // multi-line strings exist, but none of the patterns span lines, so
         // resetting per line is the safe failure mode for brace tracking.
-        out.push(Line { stripped, allows });
+        out.push(Line {
+            stripped,
+            raw: raw.to_string(),
+            allows,
+        });
     }
     out
 }
@@ -522,6 +550,22 @@ fn let_binding(text: &str) -> Option<String> {
     } else {
         Some(name)
     }
+}
+
+/// Whether a format string (the text after its opening quote) starts with
+/// a numbered entry name: a letter prefix or a `{..}` placeholder, then an
+/// index placeholder, then `-` — `e{i}-`, `{p}{i}-`, `r{}-`.
+fn builds_entry_name(literal: &str) -> bool {
+    let rest = match literal.strip_prefix('{') {
+        Some(after) => after.split_once('}').map_or("", |(_, rest)| rest),
+        None => literal.trim_start_matches(|c: char| c.is_ascii_alphabetic()),
+    };
+    let Some((index, tail)) = rest.strip_prefix('{').and_then(|after| after.split_once('}')) else {
+        return false;
+    };
+    rest.len() < literal.len()
+        && index.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        && tail.starts_with('-')
 }
 
 fn contains_word(hay: &str, word: &str) -> bool {
@@ -616,6 +660,30 @@ mod tests {
         let src = include_str!("../fixtures/bad_unclassed_lock.rs");
         let v = scan_source("crates/overlay/src/net.rs", src);
         assert!(v.iter().any(|v| v.rule == "unclassed-lock"), "{:?}", v);
+    }
+
+    #[test]
+    fn fixture_entry_codec_fires() {
+        let src = include_str!("../fixtures/bad_entry_codec.rs");
+        let v = scan_source("crates/core/src/broker_ext.rs", src);
+        assert_eq!(v.len(), 3, "{:?}", v);
+        assert!(v.iter().all(|v| v.rule == "entry-codec"), "{:?}", v);
+    }
+
+    #[test]
+    fn entry_codec_rule_spares_the_codec_and_other_formats() {
+        let names = "fn f(&self, i: usize) {\n    let e = format!(\"e{i}-xml\");\n}\n";
+        assert_eq!(rules_fired(BROKER_PATH, names), vec!["entry-codec"]);
+        let v = scan_source("crates/overlay/src/backbone.rs", names);
+        assert!(v.is_empty(), "the codec module owns entry names: {:?}", v);
+        let other = "fn f(&self, i: usize) {\n    let a = format!(\"ingest-{i}-inbox\");\n    \
+                     let b = format!(\"adv-{i}\");\n    let c = format!(\"{name}-{i}\");\n    \
+                     // format!(\"e{i}-xml\") in prose\n}\n";
+        let v = scan_source(BROKER_PATH, other);
+        assert!(v.is_empty(), "not entry names: {:?}", v);
+        let test_only = "#[cfg(test)]\nmod tests {\n    fn t(i: usize) {\n        \
+                         let e = format!(\"a{i}-group\");\n    }\n}\n";
+        assert!(scan_source(BROKER_PATH, test_only).is_empty());
     }
 
     #[test]

@@ -36,6 +36,10 @@
 //!
 //! [`crate::federation::BrokerNetwork`] wires brokers into a full mesh.
 
+use crate::backbone::{
+    self, GossipEvent, GossipOp, ADV_SECTION, GOSSIP_IDS, MEMBERSHIP_SECTION, PRESENCE_SECTION,
+    SHARD_RESULTS, SYNC_EVENTS,
+};
 use crate::database::UserDatabase;
 use crate::group::{GroupId, GroupRegistry};
 use crate::id::PeerId;
@@ -346,52 +350,6 @@ type PresenceVersion = (u64, u8, PeerId);
 const PRESENCE_LEAVE: u8 = 0;
 /// Rank of a join in a [`PresenceVersion`].
 const PRESENCE_JOIN: u8 = 1;
-
-/// One gossip event queued for a peer broker: the flattened element list of
-/// a single replicated write (`op`, its version `seq`, and the op-specific
-/// fields).  Events are coalesced per destination into one `BrokerSync`
-/// digest per flush instead of one message per event.  Keys are owned
-/// because the epidemic fabric re-queues events parsed off the wire.
-#[derive(Debug, Clone)]
-struct GossipEvent {
-    fields: Vec<(String, String)>,
-}
-
-impl GossipEvent {
-    fn new(fields: Vec<(&str, String)>) -> Self {
-        GossipEvent {
-            fields: fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        }
-    }
-
-    fn from_owned(fields: Vec<(String, String)>) -> Self {
-        GossipEvent { fields }
-    }
-
-    /// The value of field `key`, if present.
-    fn get(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Sets field `key`, replacing an existing value.
-    fn set(&mut self, key: &str, value: String) {
-        if let Some(slot) = self.fields.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            self.fields.push((key.to_string(), value));
-        }
-    }
-
-    /// The gossip id of a broadcast event: its `(vorigin, seq)` LWW version.
-    fn gossip_id(&self) -> Option<GossipId> {
-        let origin = PeerId::from_urn(self.get("vorigin")?)?;
-        let seq = self.get("seq")?.parse().ok()?;
-        Some((origin, seq))
-    }
-}
 
 /// A lookup this broker routed to remote shard replicas and has not answered
 /// yet: the requesting client, its request identifier, and the merge state.
@@ -940,11 +898,7 @@ impl Broker {
         if had_session {
             let peer = *peer;
             let seq = self.version_local_presence(peer, PRESENCE_LEAVE);
-            self.gossip_to_all(GossipEvent::new(vec![
-                ("op", "leave".to_string()),
-                ("seq", seq.to_string()),
-                ("peer", peer.to_urn()),
-            ]));
+            self.gossip_to_all(GossipEvent::new(seq, GossipOp::Leave { peer }));
             self.flush_gossip();
         }
     }
@@ -1102,14 +1056,15 @@ impl Broker {
         let seq = self.next_sync_seq();
         let store = self.is_local_replica(group, &from);
         let pushed = self.apply_publish(from, group, doc_type, xml, (seq, self.id), store);
-        let event = GossipEvent::new(vec![
-            ("op", "publish".to_string()),
-            ("seq", seq.to_string()),
-            ("group", group.as_str().to_string()),
-            ("doc-type", doc_type.to_string()),
-            ("owner", from.to_urn()),
-            ("xml", xml.to_string()),
-        ]);
+        let event = GossipEvent::new(
+            seq,
+            GossipOp::Publish {
+                group: group.clone(),
+                doc_type: doc_type.to_string(),
+                owner: from,
+                xml: xml.to_string(),
+            },
+        );
         let fanout = if self.is_sharded() {
             let mut targets: Vec<PeerId> = self
                 .shard_replicas(group, &from)
@@ -1287,30 +1242,34 @@ impl Broker {
             self.gossip_to(&peers, event);
             return peers.len();
         }
-        event.set("vorigin", self.id.to_urn());
-        event.set("bcast", "1".to_string());
-        let Some(gid) = event.gossip_id() else {
-            // No parseable version: fall back to direct delivery rather
-            // than lose the event (forwarders could not dedup it).
-            let peers = self.peer_brokers.read().clone();
-            self.gossip_to(&peers, event);
-            return peers.len();
-        };
+        event.vorigin = Some(self.id);
+        event.bcast = true;
+        self.disseminate((self.id, event.seq), event, &[]).unwrap_or(0)
+    }
+
+    /// Epidemic dissemination of broadcast event `gid`: records it as seen
+    /// and caches it for grafts, queues it eagerly on the Plumtree tree
+    /// edges and as an `IHave` on the lazy ones, skipping the peers in
+    /// `skip` (a forwarder skips the sender and the event's origin).
+    /// Returns the number of eager pushes, or `None` when the event was
+    /// already seen — nothing is queued then.
+    fn disseminate(&self, gid: GossipId, event: GossipEvent, skip: &[PeerId]) -> Option<usize> {
         let (eager, lazy) = {
             let mut tree = self.plumtree.lock();
-            tree.note_seen(gid);
-            tree.cache_event(gid, event.fields.clone());
+            if !tree.note_seen(gid) {
+                return None;
+            }
+            tree.cache_event(gid, event.clone());
             (tree.eager(), tree.lazy())
         };
+        let eager: Vec<PeerId> = eager.into_iter().filter(|p| !skip.contains(p)).collect();
         self.gossip_to(&eager, event);
         self.federation.count_eager_pushes(eager.len() as u64);
-        if !lazy.is_empty() {
-            let mut ihaves = self.ihave_outbox.lock();
-            for peer in &lazy {
-                ihaves.entry(*peer).or_default().push(gid);
-            }
+        let mut ihaves = self.ihave_outbox.lock();
+        for peer in lazy.into_iter().filter(|p| !skip.contains(p)) {
+            ihaves.entry(peer).or_default().push(gid);
         }
-        eager.len()
+        Some(eager.len())
     }
 
     /// Queues a gossip event for each broker in `targets`.  Nothing is sent
@@ -1342,13 +1301,8 @@ impl Broker {
             std::mem::take(&mut *outbox).into_iter().collect()
         };
         for (destination, events) in batches {
-            let mut digest = Message::new(MessageKind::BrokerSync, self.id, 0)
-                .with_str("count", &events.len().to_string());
-            for (i, event) in events.iter().enumerate() {
-                for (field, value) in &event.fields {
-                    digest.push_element(format!("e{i}-{field}"), value.as_bytes().to_vec());
-                }
-            }
+            let mut digest = Message::new(MessageKind::BrokerSync, self.id, 0);
+            SYNC_EVENTS.write(&mut digest, &events, GossipEvent::fields);
             if self.send_sequenced(destination, digest, Duration::ZERO).is_some() {
                 self.federation.count_sync_sent();
             }
@@ -1378,12 +1332,8 @@ impl Broker {
             // digest; coalescing n ids saves n-1 sends to this destination.
             self.federation
                 .count_ihave_digests_saved(gids.len().saturating_sub(1) as u64);
-            let mut digest = Message::new(MessageKind::PlumtreeIHave, self.id, 0)
-                .with_str("count", &gids.len().to_string());
-            for (i, (origin, seq)) in gids.iter().enumerate() {
-                digest.push_element(format!("g{i}-origin"), origin.to_urn().into_bytes());
-                digest.push_element(format!("g{i}-seq"), seq.to_string().into_bytes());
-            }
+            let mut digest = Message::new(MessageKind::PlumtreeIHave, self.id, 0);
+            GOSSIP_IDS.write(&mut digest, &gids, backbone::gossip_id_fields);
             if self.send_sequenced(destination, digest, Duration::ZERO).is_some() {
                 self.federation.count_ihave_sent();
             }
@@ -1430,93 +1380,29 @@ impl Broker {
         Some(seq)
     }
 
-    /// Applies one incoming gossip digest to local state: a `count` element
-    /// plus the events in `e{i}-*` fields, each carrying its own version
-    /// `seq` (the transport `seq` only guards replay).
-    fn handle_sync(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    /// Applies one incoming gossip digest ([`SYNC_EVENTS`]) to local state.
+    /// Each event carries its own version `seq` (the transport `seq` only
+    /// guards replay); an event that does not decode is neither applied nor
+    /// forwarded.
+    fn handle_sync(&self, message: &Message) {
         let origin = message.sender;
         let epidemic = self.epidemic_engaged();
         let mut broadcasts = 0usize;
         let mut duplicates = 0usize;
-        // A forged count must not outrun the elements the message carries.
-        let count = message
-            .element_str("count")
-            .and_then(|c| c.parse::<usize>().ok())
-            .unwrap_or(0)
-            .min(message.element_count());
-        // One name→content index up front: per-field `element` scans would
-        // make applying an n-event digest O(n²).
-        let index = message.index();
-        for i in 0..count {
-            // Epidemic bookkeeping first: a broadcast event (it carries
-            // its gossip id in `vorigin`/`seq` plus the `bcast` marker)
-            // is deduplicated on the seen-set, cached for grafts, and
-            // re-queued onward — eager edges get the payload, lazy
-            // edges an `IHave` at the flush below.  Application itself
-            // stays on the byte-faithful closure over the wire message.
-            let gid = if epidemic
-                && index.get(&format!("e{i}-bcast")) == Some(b"1".as_slice())
-            {
-                index
-                    .get_str(&format!("e{i}-vorigin"))
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .zip(
-                        index
-                            .get_str(&format!("e{i}-seq"))
-                            .and_then(|s| s.parse::<u64>().ok()),
-                    )
-            } else {
-                None
+        for entry in SYNC_EVENTS.read(message).unwrap_or_default() {
+            let Some(event) = GossipEvent::decode(&entry) else {
+                continue;
             };
-            if let Some(gid) = gid {
+            // Epidemic bookkeeping first: a broadcast event is deduplicated
+            // on the seen-set, cached for grafts, and re-queued onward.
+            if let Some(gid) = event.gossip_id().filter(|_| epidemic && event.bcast) {
                 broadcasts += 1;
-                let fresh = self.plumtree.lock().note_seen(gid);
-                if !fresh {
+                if self.disseminate(gid, event.clone(), &[origin, gid.0]).is_none() {
                     duplicates += 1;
                     continue;
                 }
-                let prefix = format!("e{i}-");
-                let fields: Vec<(String, String)> = message
-                    .elements
-                    .iter()
-                    .filter_map(|element| {
-                        element.name.strip_prefix(&prefix).map(|field| {
-                            (
-                                field.to_string(),
-                                String::from_utf8_lossy(&element.content).into_owned(),
-                            )
-                        })
-                    })
-                    .collect();
-                let (eager, lazy) = {
-                    let mut tree = self.plumtree.lock();
-                    tree.cache_event(gid, fields.clone());
-                    (tree.eager(), tree.lazy())
-                };
-                let forward: Vec<PeerId> = eager
-                    .into_iter()
-                    .filter(|p| *p != origin && *p != gid.0)
-                    .collect();
-                self.gossip_to(&forward, GossipEvent::from_owned(fields));
-                self.federation.count_eager_pushes(forward.len() as u64);
-                if !lazy.is_empty() {
-                    let mut ihaves = self.ihave_outbox.lock();
-                    for peer in lazy {
-                        if peer != origin && peer != gid.0 {
-                            ihaves.entry(peer).or_default().push(gid);
-                        }
-                    }
-                }
             }
-            self.apply_sync_event(origin, &|field: &str| {
-                index.get(&format!("e{i}-{field}")).map(<[u8]>::to_vec)
-            });
+            self.apply_sync_event(origin, &event);
         }
         // A digest made entirely of already-seen broadcasts means this edge
         // duplicates the tree: demote it to lazy and tell the sender to
@@ -1534,54 +1420,27 @@ impl Broker {
         self.flush_gossip();
     }
 
-    /// Applies a single replicated write.  `raw` resolves the event's fields
-    /// (the `e{i}-` slice of a digest) as raw bytes; textual fields are
-    /// decoded through the local `get` helper.
-    fn apply_sync_event(&self, origin: PeerId, raw: &dyn Fn(&str) -> Option<Vec<u8>>) {
-        let get = |field: &str| raw(field).map(|b| String::from_utf8_lossy(&b).into_owned());
-        let Some(seq) = get("seq").and_then(|s| s.parse::<u64>().ok()) else {
-            return;
-        };
-        match get("op").as_deref() {
-            Some("publish") => {
-                let (Some(group), Some(doc_type), Some(owner), Some(xml)) = (
-                    get("group"),
-                    get("doc-type"),
-                    get("owner"),
-                    get("xml"),
-                ) else {
-                    return;
-                };
-                let Some(owner) = PeerId::from_urn(&owner) else {
-                    return;
-                };
-                // Migrated entries keep their original version: the version
-                // origin travels with the event and may differ from the
-                // broker that re-routed it here.
-                let version_origin = get("vorigin")
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .unwrap_or(origin);
-                let group = GroupId::new(group);
+    /// Applies a single replicated write received from `origin`.  The
+    /// event's version origin is `origin` itself unless the event names
+    /// another: a migrated entry keeps its original version, and under the
+    /// epidemic fabric the sender may be a forwarder.
+    fn apply_sync_event(&self, origin: PeerId, event: &GossipEvent) {
+        let seq = event.seq;
+        let vorigin = event.vorigin.unwrap_or(origin);
+        match &event.op {
+            GossipOp::Publish { group, doc_type, owner, xml } => {
                 // A broker outside the replica set can still receive the
                 // publish: group-aware routing addresses member-hosting
                 // brokers so they push to their local members.  They apply
                 // without storing — `sharded_converged` checks the entry
                 // lives on exactly its ring replicas.
-                let store = self.is_local_replica(&group, &owner);
-                self.apply_publish(owner, &group, &doc_type, &xml, (seq, version_origin), store);
+                let store = self.is_local_replica(group, owner);
+                self.apply_publish(*owner, group, doc_type, xml, (seq, vorigin), store);
                 self.federation.count_sync_applied();
             }
-            Some("join") => {
-                let Some(peer) = get("peer").and_then(|urn| PeerId::from_urn(&urn)) else {
-                    return;
-                };
-                // The joining peer's home is the broker that versioned the
-                // event.  Under the epidemic fabric the transport sender may
-                // be a forwarder, so the event carries the home explicitly;
-                // the direct-delivery layouts fall back to the sender.
-                let home = get("vorigin")
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .unwrap_or(origin);
+            GossipOp::Join { peer, groups } => {
+                // The joining peer's home is the broker that versioned it.
+                let (peer, home) = (*peer, vorigin);
                 if !self.try_version_presence(peer, (seq, PRESENCE_JOIN, home)) {
                     return; // a newer local or replicated write already won
                 }
@@ -1594,34 +1453,24 @@ impl Broker {
                 self.forget_membership_stamps(&peer);
                 self.clear_group_hosts(&peer);
                 self.peer_homes.write().insert(peer, home);
-                for group in get("groups")
-                    .unwrap_or_default()
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                {
-                    let group = GroupId::new(group);
-                    // Every broker records which broker hosts the member (the
-                    // group-aware publish routing digest) …
-                    self.set_group_hosts(&peer, std::slice::from_ref(&group), home);
+                // Every broker records which broker hosts the member (the
+                // group-aware publish routing digest) …
+                self.set_group_hosts(&peer, groups, home);
+                for group in groups {
                     // … but sharded membership entries live on their ring
                     // replicas only; the routing updates are applied by
                     // every broker either way.
-                    if self.is_local_replica(&group, &peer) {
-                        self.stamp_membership(&group, peer, (seq, PRESENCE_JOIN, home));
-                        self.groups.join(group, peer);
+                    if self.is_local_replica(group, &peer) {
+                        self.stamp_membership(group, peer, (seq, PRESENCE_JOIN, home));
+                        self.groups.join(group.clone(), peer);
                     }
                 }
                 self.touch_repair_state();
                 self.federation.count_sync_applied();
             }
-            Some("leave") => {
-                let Some(peer) = get("peer").and_then(|urn| PeerId::from_urn(&urn)) else {
-                    return;
-                };
-                let home = get("vorigin")
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .unwrap_or(origin);
-                if !self.try_version_presence(peer, (seq, PRESENCE_LEAVE, home)) {
+            GossipOp::Leave { peer } => {
+                let peer = *peer;
+                if !self.try_version_presence(peer, (seq, PRESENCE_LEAVE, vorigin)) {
                     return; // the peer meanwhile re-homed; this leave is stale
                 }
                 if self.absorb_remote_leave(peer) {
@@ -1634,19 +1483,12 @@ impl Broker {
                 self.touch_repair_state();
                 self.federation.count_sync_applied();
             }
-            Some("membership") => {
+            GossipOp::Membership { peer, group, vrank } => {
                 // A migrated membership entry: (group, peer) re-routed onto
                 // this broker after a ring change.  It carries the presence
                 // version it was observed under; anything older than what we
                 // already know is stale and dropped.
-                let (Some(peer), Some(group), Some(rank), Some(vorigin)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
-                    get("group"),
-                    get("vrank").and_then(|r| r.parse::<u8>().ok()),
-                    get("vorigin").and_then(|urn| PeerId::from_urn(&urn)),
-                ) else {
-                    return;
-                };
+                let (peer, rank) = (*peer, *vrank);
                 let carried: PresenceVersion = (seq, rank, vorigin);
                 {
                     let mut versions = self.peer_versions.write();
@@ -1664,27 +1506,21 @@ impl Broker {
                         }
                     }
                 }
-                if rank == PRESENCE_JOIN {
-                    let group = GroupId::new(group);
-                    if self.is_local_replica(&group, &peer) {
-                        self.stamp_membership(&group, peer, carried);
-                        self.groups.join(group, peer);
-                        self.touch_repair_state();
-                    }
+                if rank == PRESENCE_JOIN && self.is_local_replica(group, &peer) {
+                    self.stamp_membership(group, peer, carried);
+                    self.groups.join(group.clone(), peer);
+                    self.touch_repair_state();
                 }
                 self.federation.count_sync_applied();
             }
-            Some("ext") => {
+            GossipOp::Ext { blob } => {
                 // An opaque extension-state blob (e.g. an admin-signed
                 // revocation list) replicated over the backbone.  The
                 // extension authenticates the content itself — the overlay
                 // only provides transport and the usual gossip admission.
-                let Some(blob) = raw("blob") else {
-                    return;
-                };
                 let extension = self.extension.read().clone();
                 if let Some(extension) = extension {
-                    let repaired = extension.apply_repair_snapshot(self, &blob);
+                    let repaired = extension.apply_repair_snapshot(self, blob);
                     if repaired > 0 {
                         self.federation.count_entries_repaired(repaired);
                     }
@@ -1696,14 +1532,8 @@ impl Broker {
             // do not count as `sync_applied`).  `sinc` is the incarnation
             // the accusation or refutation is made at; the detector's
             // precedence rules decide whether it lands.
-            Some("swim-suspect") => {
-                let (Some(peer), Some(sinc)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
-                    get("sinc").and_then(|s| s.parse::<u64>().ok()),
-                ) else {
-                    return;
-                };
-                let outcome = self.swim.lock().on_suspect(peer, sinc);
+            GossipOp::SwimSuspect { peer, sinc } => {
+                let outcome = self.swim.lock().on_suspect(*peer, *sinc);
                 match outcome {
                     SuspectOutcome::RefuteWith(incarnation) => {
                         // Someone suspects *us*: broadcast an alive
@@ -1716,27 +1546,15 @@ impl Broker {
                     SuspectOutcome::Ignored => {}
                 }
             }
-            Some("swim-alive") => {
-                let (Some(peer), Some(sinc)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
-                    get("sinc").and_then(|s| s.parse::<u64>().ok()),
-                ) else {
-                    return;
-                };
-                if self.swim.lock().on_alive(peer, sinc) == AliveOutcome::Cleared {
-                    self.swim_member_alive(peer);
+            GossipOp::SwimAlive { peer, sinc } => {
+                if self.swim.lock().on_alive(*peer, *sinc) == AliveOutcome::Cleared {
+                    self.swim_member_alive(*peer);
                 }
             }
-            Some("swim-dead") => {
-                let (Some(peer), Some(sinc)) = (
-                    get("peer").and_then(|urn| PeerId::from_urn(&urn)),
-                    get("sinc").and_then(|s| s.parse::<u64>().ok()),
-                ) else {
-                    return;
-                };
-                let outcome = self.swim.lock().on_dead(peer, sinc);
+            GossipOp::SwimDead { peer, sinc } => {
+                let outcome = self.swim.lock().on_dead(*peer, *sinc);
                 match outcome {
-                    DeadOutcome::Confirmed => self.on_swim_death(peer, sinc, false),
+                    DeadOutcome::Confirmed => self.on_swim_death(*peer, *sinc, false),
                     DeadOutcome::RefuteWith(incarnation) => {
                         self.federation.count_swim_refutation();
                         self.gossip_swim_alive(incarnation);
@@ -1744,7 +1562,6 @@ impl Broker {
                     DeadOutcome::Ignored => {}
                 }
             }
-            _ => {}
         }
     }
 
@@ -1761,13 +1578,7 @@ impl Broker {
     /// the passive reservoir (never widening the known set — admission
     /// stays anchored on `peer_brokers`) and answer with a sample of our
     /// own views, so both reservoirs refresh from one exchange.
-    fn handle_membership_shuffle(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_membership_shuffle(&self, message: &Message) {
         // The shuffle doubles as a SWIM liveness signal: the sender
         // piggybacks its incarnation, and receiving the message at all is
         // first-hand proof of life.
@@ -1793,13 +1604,7 @@ impl Broker {
     }
 
     /// Handles the answering half of a shuffle: integrate only.
-    fn handle_membership_shuffle_reply(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_membership_shuffle_reply(&self, message: &Message) {
         self.swim_contact(message);
         let incoming = Self::parse_peer_list(&message.element_str("peers").unwrap_or_default());
         self.view.lock().integrate_shuffle(&incoming);
@@ -1809,49 +1614,24 @@ impl Broker {
     /// broker has not received means the eager tree failed to reach us
     /// first — promote the advertising edge and pull the payloads with a
     /// `Graft`.  Ids already seen need nothing: the tree worked.
-    fn handle_plumtree_ihave(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
-        let Some(count) = message
-            .element_str("count")
-            .and_then(|c| c.parse::<usize>().ok())
-        else {
+    fn handle_plumtree_ihave(&self, message: &Message) {
+        let Some(advertised) = GOSSIP_IDS.read(message) else {
             return;
         };
-        let index = message.index();
-        let mut missing: Vec<GossipId> = Vec::new();
-        {
+        let missing: Vec<GossipId> = {
             let tree = self.plumtree.lock();
-            for i in 0..count.min(message.element_count()) {
-                let gid = index
-                    .get_str(&format!("g{i}-origin"))
-                    .and_then(|urn| PeerId::from_urn(&urn))
-                    .zip(
-                        index
-                            .get_str(&format!("g{i}-seq"))
-                            .and_then(|s| s.parse::<u64>().ok()),
-                    );
-                if let Some(gid) = gid {
-                    if !tree.has_seen(&gid) {
-                        missing.push(gid);
-                    }
-                }
-            }
-        }
+            advertised
+                .iter()
+                .filter_map(backbone::gossip_id)
+                .filter(|gid| !tree.has_seen(gid))
+                .collect()
+        };
         if missing.is_empty() {
             return;
         }
         self.plumtree.lock().promote(message.sender);
-        let mut graft = Message::new(MessageKind::PlumtreeGraft, self.id, 0)
-            .with_str("count", &missing.len().to_string());
-        for (i, (origin, seq)) in missing.iter().enumerate() {
-            graft.push_element(format!("g{i}-origin"), origin.to_urn().into_bytes());
-            graft.push_element(format!("g{i}-seq"), seq.to_string().into_bytes());
-        }
+        let mut graft = Message::new(MessageKind::PlumtreeGraft, self.id, 0);
+        GOSSIP_IDS.write(&mut graft, &missing, backbone::gossip_id_fields);
         if self
             .send_sequenced(message.sender, graft, Duration::ZERO)
             .is_some()
@@ -1864,38 +1644,15 @@ impl Broker {
     /// edge towards it becomes eager again and every requested payload
     /// still in the cache is re-sent as ordinary gossip.  Evicted payloads
     /// are counted as graft misses; anti-entropy repairs those.
-    fn handle_plumtree_graft(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
-        let Some(count) = message
-            .element_str("count")
-            .and_then(|c| c.parse::<usize>().ok())
-        else {
+    fn handle_plumtree_graft(&self, message: &Message) {
+        let Some(requested) = GOSSIP_IDS.read(message) else {
             return;
         };
         self.plumtree.lock().promote(message.sender);
-        let index = message.index();
-        for i in 0..count.min(message.element_count()) {
-            let gid = index
-                .get_str(&format!("g{i}-origin"))
-                .and_then(|urn| PeerId::from_urn(&urn))
-                .zip(
-                    index
-                        .get_str(&format!("g{i}-seq"))
-                        .and_then(|s| s.parse::<u64>().ok()),
-                );
-            let Some(gid) = gid else {
-                continue;
-            };
+        for gid in requested.iter().filter_map(backbone::gossip_id) {
             let cached = self.plumtree.lock().cached(&gid);
             match cached {
-                Some(fields) => {
-                    self.gossip_to(&[message.sender], GossipEvent::from_owned(fields));
-                }
+                Some(event) => self.gossip_to(&[message.sender], event),
                 None => self.federation.count_graft_miss(),
             }
         }
@@ -1904,13 +1661,7 @@ impl Broker {
 
     /// Handles a `Prune`: our pushes duplicate what the sender already has
     /// — demote the edge to lazy (digests only) until a graft re-earns it.
-    fn handle_plumtree_prune(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_plumtree_prune(&self, message: &Message) {
         self.plumtree.lock().demote(message.sender);
     }
 
@@ -1937,13 +1688,7 @@ impl Broker {
     /// evidence the *sender* lives; the answer is an ack carrying our own
     /// incarnation, addressed to `reply-to` when present (the prober an
     /// indirect probe relays for) or to the sender (the direct case).
-    fn handle_swim_ping(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_swim_ping(&self, message: &Message) {
         self.swim_contact(message);
         let reply_to = message
             .element_str("reply-to")
@@ -1964,13 +1709,7 @@ impl Broker {
     /// `target` timed out asks us to try from our vantage point.  We relay
     /// a `SwimPing` whose `reply-to` names the original prober, so a live
     /// target acks the prober directly and one relay hop suffices.
-    fn handle_swim_ping_req(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_swim_ping_req(&self, message: &Message) {
         self.swim_contact(message);
         let Some(target) = message
             .element_str("target")
@@ -1992,13 +1731,7 @@ impl Broker {
 
     /// Handles a probe ack: clears the outstanding probe (direct or
     /// relayed) for the acking broker and refreshes it as alive.
-    fn handle_swim_ack(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_swim_ack(&self, message: &Message) {
         let incarnation = message
             .element_str("inc")
             .and_then(|s| s.parse::<u64>().ok())
@@ -2047,12 +1780,8 @@ impl Broker {
         self.ihave_outbox.lock().remove(&peer);
         self.outbox.lock().remove(&peer);
         if announce {
-            self.gossip_to_all(GossipEvent::new(vec![
-                ("op", "swim-dead".to_string()),
-                ("seq", self.next_sync_seq().to_string()),
-                ("peer", peer.to_urn()),
-                ("sinc", incarnation.to_string()),
-            ]));
+            let dead = GossipOp::SwimDead { peer, sinc: incarnation };
+            self.gossip_to_all(GossipEvent::new(self.next_sync_seq(), dead));
             self.flush_gossip();
         }
     }
@@ -2061,12 +1790,8 @@ impl Broker {
     /// (freshly bumped) incarnation, which orders above every standing
     /// accusation made at a lower one.
     fn gossip_swim_alive(&self, incarnation: u64) {
-        self.gossip_to_all(GossipEvent::new(vec![
-            ("op", "swim-alive".to_string()),
-            ("seq", self.next_sync_seq().to_string()),
-            ("peer", self.id.to_urn()),
-            ("sinc", incarnation.to_string()),
-        ]));
+        let alive = GossipOp::SwimAlive { peer: self.id, sinc: incarnation };
+        self.gossip_to_all(GossipEvent::new(self.next_sync_seq(), alive));
         self.flush_gossip();
     }
 
@@ -2097,12 +1822,8 @@ impl Broker {
         }
         for (peer, incarnation) in plan.new_suspects {
             self.federation.count_swim_suspicion();
-            self.gossip_to_all(GossipEvent::new(vec![
-                ("op", "swim-suspect".to_string()),
-                ("seq", self.next_sync_seq().to_string()),
-                ("peer", peer.to_urn()),
-                ("sinc", incarnation.to_string()),
-            ]));
+            let suspect = GossipOp::SwimSuspect { peer, sinc: incarnation };
+            self.gossip_to_all(GossipEvent::new(self.next_sync_seq(), suspect));
         }
         if let Some(target) = plan.probe {
             let incarnation = self.swim.lock().incarnation();
@@ -2158,13 +1879,10 @@ impl Broker {
         };
         // Epidemic federations send to the active view only; the x-section
         // anti-entropy exchange spreads the blob transitively from there.
-        let seq = self.next_sync_seq().to_string();
+        let event = GossipEvent::new(self.next_sync_seq(), GossipOp::Ext { blob });
         for peer in self.repair_targets() {
-            let sync = Message::new(MessageKind::BrokerSync, self.id, 0)
-                .with_str("count", "1")
-                .with_str("e0-op", "ext")
-                .with_str("e0-seq", &seq)
-                .with_element("e0-blob", blob.clone());
+            let mut sync = Message::new(MessageKind::BrokerSync, self.id, 0);
+            SYNC_EVENTS.write(&mut sync, std::slice::from_ref(&event), GossipEvent::fields);
             if self.send_sequenced(peer, sync, Duration::ZERO).is_some() {
                 self.federation.count_sync_sent();
             }
@@ -2221,18 +1939,14 @@ impl Broker {
                 .filter(|replica| **replica != self.id)
                 .copied()
                 .collect();
-            self.gossip_to(
-                &targets,
-                GossipEvent::new(vec![
-                    ("op", "publish".to_string()),
-                    ("seq", version.0.to_string()),
-                    ("vorigin", version.1.to_urn()),
-                    ("group", group.as_str().to_string()),
-                    ("doc-type", doc_type.clone()),
-                    ("owner", owner.to_urn()),
-                    ("xml", xml),
-                ]),
-            );
+            let publish = GossipOp::Publish {
+                group: group.clone(),
+                doc_type: doc_type.clone(),
+                owner,
+                xml,
+            };
+            let event = GossipEvent { vorigin: Some(version.1), ..GossipEvent::new(version.0, publish) };
+            self.gossip_to(&targets, event);
             if !replicas.contains(&self.id) {
                 let mut advertisements = self.advertisements.write();
                 if let Some(index) = advertisements.get_mut(&group) {
@@ -2260,17 +1974,9 @@ impl Broker {
                     .filter(|replica| **replica != self.id)
                     .copied()
                     .collect();
-                self.gossip_to(
-                    &targets,
-                    GossipEvent::new(vec![
-                        ("op", "membership".to_string()),
-                        ("seq", version.0.to_string()),
-                        ("vrank", PRESENCE_JOIN.to_string()),
-                        ("vorigin", version.2.to_urn()),
-                        ("peer", peer.to_urn()),
-                        ("group", group.as_str().to_string()),
-                    ]),
-                );
+                let entry = GossipOp::Membership { peer, group: group.clone(), vrank: PRESENCE_JOIN };
+                let event = GossipEvent { vorigin: Some(version.2), ..GossipEvent::new(version.0, entry) };
+                self.gossip_to(&targets, event);
                 let homed_here = self.sessions.read().contains_key(&peer);
                 if !replicas.contains(&self.id) && !homed_here {
                     self.groups.leave(&group, &peer);
@@ -2312,17 +2018,8 @@ impl Broker {
     /// the peer→home routing update is fully replicated in both modes
     /// (receivers apply the membership part only for entries they own).
     fn gossip_join(&self, seq: u64, peer: PeerId, groups: &[GroupId]) {
-        let joined = groups
-            .iter()
-            .map(|g| g.as_str().to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.gossip_to_all(GossipEvent::new(vec![
-            ("op", "join".to_string()),
-            ("seq", seq.to_string()),
-            ("peer", peer.to_urn()),
-            ("groups", joined),
-        ]));
+        let join = GossipOp::Join { peer, groups: groups.to_vec() };
+        self.gossip_to_all(GossipEvent::new(seq, join));
     }
 
     // ------------------------------------------------------------------
@@ -2683,13 +2380,7 @@ impl Broker {
     /// descent instead, narrowing to the divergent key ranges before any
     /// entry is shipped; without it they join the full snapshot (the PR 4
     /// baseline).
-    fn handle_anti_entropy_digest(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_anti_entropy_digest(&self, message: &Message) {
         let origin = message.sender;
         let (a, m, p, x) = self.repair_hashes(&origin);
         let theirs = |name: &str| message.element_str(name).and_then(|h| h.parse::<u64>().ok());
@@ -2760,13 +2451,7 @@ impl Broker {
     /// as range-scoped snapshot pages.  The exchange is stateless and the
     /// depth strictly increases leg over leg, so a descent terminates within
     /// [`shard::REPAIR_TREE_DEPTH`] range legs however the trees differ.
-    fn handle_anti_entropy_range(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_anti_entropy_range(&self, message: &Message) {
         let origin = message.sender;
         let Some(section) = message.element_str("section").and_then(|s| s.chars().next()) else {
             return;
@@ -2825,10 +2510,10 @@ impl Broker {
         let mut snapshot =
             Message::new(MessageKind::AntiEntropySnapshot, self.id, 0).with_str("want", want);
         if sections.contains('a') {
-            Self::push_adv_section(&mut snapshot, self.repair_adv_entries(peer));
+            Self::push_adv_section(&mut snapshot, &self.repair_adv_entries(peer));
         }
         if sections.contains('m') {
-            self.push_membership_section(&mut snapshot, self.repair_membership_entries(peer));
+            self.push_membership_section(&mut snapshot, &self.repair_membership_entries(peer));
         }
         if sections.contains('p') {
             self.push_presence_section(&mut snapshot);
@@ -2841,46 +2526,47 @@ impl Broker {
         snapshot
     }
 
-    /// Appends advertisement entries as an `a` section (`a-count` + `a{i}-*`).
-    fn push_adv_section(snapshot: &mut Message, entries: Vec<FlatEntry>) {
-        snapshot.push_element("a-count", entries.len().to_string().into_bytes());
-        for (i, (group, owner, doc_type, xml, version)) in entries.into_iter().enumerate() {
-            snapshot.push_element(format!("a{i}-group"), group.as_str().as_bytes().to_vec());
-            snapshot.push_element(format!("a{i}-owner"), owner.to_urn().into_bytes());
-            snapshot.push_element(format!("a{i}-type"), doc_type.into_bytes());
-            snapshot.push_element(format!("a{i}-xml"), xml.into_bytes());
-            snapshot.push_element(format!("a{i}-vseq"), version.0.to_string().into_bytes());
-            snapshot.push_element(format!("a{i}-vorigin"), version.1.to_urn().into_bytes());
-        }
+    /// Appends advertisement entries as an [`ADV_SECTION`].
+    fn push_adv_section(snapshot: &mut Message, entries: &[FlatEntry]) {
+        ADV_SECTION.write(snapshot, entries, |(group, owner, doc_type, xml, version)| {
+            vec![
+                ("group", group.as_str().as_bytes().to_vec()),
+                ("owner", owner.to_urn().into_bytes()),
+                ("type", doc_type.as_bytes().to_vec()),
+                ("xml", xml.as_bytes().to_vec()),
+                ("vseq", version.0.to_string().into_bytes()),
+                ("vorigin", version.1.to_urn().into_bytes()),
+            ]
+        });
     }
 
-    /// Appends membership entries (with their provenance stamps) as an `m`
-    /// section (`m-count` + `m{i}-*`).
-    fn push_membership_section(&self, snapshot: &mut Message, entries: Vec<(GroupId, PeerId)>) {
-        snapshot.push_element("m-count", entries.len().to_string().into_bytes());
-        for (i, (group, member)) in entries.into_iter().enumerate() {
-            let version = self.membership_stamp(&group, &member);
-            snapshot.push_element(format!("m{i}-group"), group.as_str().as_bytes().to_vec());
-            snapshot.push_element(format!("m{i}-peer"), member.to_urn().into_bytes());
-            snapshot.push_element(format!("m{i}-vseq"), version.0.to_string().into_bytes());
-            snapshot.push_element(format!("m{i}-vrank"), version.1.to_string().into_bytes());
-            snapshot.push_element(format!("m{i}-vorigin"), version.2.to_urn().into_bytes());
-        }
+    /// Appends membership entries, with their provenance stamps, as a
+    /// [`MEMBERSHIP_SECTION`].
+    fn push_membership_section(&self, snapshot: &mut Message, entries: &[(GroupId, PeerId)]) {
+        MEMBERSHIP_SECTION.write(snapshot, entries, |(group, member)| {
+            let version = self.membership_stamp(group, member);
+            vec![
+                ("group", group.as_str().as_bytes().to_vec()),
+                ("peer", member.to_urn().into_bytes()),
+                ("vseq", version.0.to_string().into_bytes()),
+                ("vrank", version.1.to_string().into_bytes()),
+                ("vorigin", version.2.to_urn().into_bytes()),
+            ]
+        });
     }
 
-    /// Appends the full presence/routing register as a `p` section.
+    /// Appends the full presence/routing register as a [`PRESENCE_SECTION`].
     fn push_presence_section(&self, snapshot: &mut Message) {
-        let entries = self.repair_presence_entries();
-        snapshot.push_element("p-count", entries.len().to_string().into_bytes());
-        for (i, (peer_id, version, home)) in entries.into_iter().enumerate() {
-            snapshot.push_element(format!("p{i}-peer"), peer_id.to_urn().into_bytes());
-            snapshot.push_element(format!("p{i}-vseq"), version.0.to_string().into_bytes());
-            snapshot.push_element(format!("p{i}-vrank"), version.1.to_string().into_bytes());
-            snapshot.push_element(format!("p{i}-vorigin"), version.2.to_urn().into_bytes());
-            if let Some(home) = home {
-                snapshot.push_element(format!("p{i}-home"), home.to_urn().into_bytes());
-            }
-        }
+        PRESENCE_SECTION.write(snapshot, &self.repair_presence_entries(), |(peer, version, home)| {
+            let mut fields = vec![
+                ("peer", peer.to_urn().into_bytes()),
+                ("vseq", version.0.to_string().into_bytes()),
+                ("vrank", version.1.to_string().into_bytes()),
+                ("vorigin", version.2.to_urn().into_bytes()),
+            ];
+            fields.extend(home.map(|home| ("home", home.to_urn().into_bytes())));
+            fields
+        });
     }
 
     /// Advertisement entries shared with `peer` whose shard key falls in
@@ -2936,13 +2622,13 @@ impl Broker {
             'a' => {
                 let entries = self.repair_adv_entries_in(&peer, lo, hi);
                 self.send_pages(peer, section, (lo, hi), want, entries, |_, snapshot, page| {
-                    Self::push_adv_section(snapshot, page.to_vec());
+                    Self::push_adv_section(snapshot, page);
                 });
             }
             _ => {
                 let entries = self.repair_membership_entries_in(&peer, lo, hi);
                 self.send_pages(peer, section, (lo, hi), want, entries, |broker, snapshot, page| {
-                    broker.push_membership_section(snapshot, page.to_vec());
+                    broker.push_membership_section(snapshot, page);
                     // Membership deletions compare against the *sender's*
                     // presence versions, so every m page travels with the
                     // full p section, exactly like a flat m snapshot does.
@@ -3005,13 +2691,7 @@ impl Broker {
     /// Handles a peer's anti-entropy snapshot: merge every section under the
     /// last-writer-wins rules and, if the peer asked (`want`), send the
     /// local snapshot of the same sections back so both replicas converge.
-    fn handle_anti_entropy_snapshot(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_anti_entropy_snapshot(&self, message: &Message) {
         let origin = message.sender;
         let repaired = self.merge_repair_snapshot(origin, message);
         if repaired > 0 {
@@ -3045,25 +2725,11 @@ impl Broker {
     /// the no-regression property the repair proptests assert).
     fn merge_repair_snapshot(&self, origin: PeerId, message: &Message) -> u64 {
         let mut repaired = 0u64;
-        // Index the elements once: with up to six `a{i}-*` lookups per entry,
-        // the linear `Message::element` scan made merging an n-entry snapshot
-        // O(n²) element visits.
-        let index = message.index();
-        let text = |name: &str| index.get_str(name);
-        // Every section count is bounded by the elements the message
-        // carries: a forged count must not spin the merge loops.
-        let count = |name: &str| {
-            text(name)
-                .and_then(|c| c.parse::<usize>().ok())
-                .map(|c| c.min(message.element_count()))
-        };
         // Range-scoped pages (the final legs of a tree descent) only speak
         // for `[lo, hi]` of the shard-key space: an entry the page lacks is
         // evidence of deletion only if its key is inside the page's range.
-        let range = (
-            text("range-lo").and_then(|s| s.parse::<u64>().ok()),
-            text("range-hi").and_then(|s| s.parse::<u64>().ok()),
-        );
+        let bound = |name: &str| message.element_str(name).and_then(|s| s.parse::<u64>().ok());
+        let range = (bound("range-lo"), bound("range-hi"));
         let in_range = |key: u64| match range {
             (Some(lo), Some(hi)) => key >= lo && key <= hi,
             _ => true,
@@ -3072,19 +2738,12 @@ impl Broker {
         // The presence section is parsed up front: the membership deletion
         // rule below compares against the *sender's* versions.
         let presence: Option<Vec<(PeerId, PresenceVersion, Option<PeerId>)>> =
-            count("p-count").map(|n| {
-                (0..n)
-                    .filter_map(|i| {
-                        let peer =
-                            text(&format!("p{i}-peer")).and_then(|u| PeerId::from_urn(&u))?;
-                        let seq =
-                            text(&format!("p{i}-vseq")).and_then(|s| s.parse::<u64>().ok())?;
-                        let rank =
-                            text(&format!("p{i}-vrank")).and_then(|r| r.parse::<u8>().ok())?;
-                        let vorigin =
-                            text(&format!("p{i}-vorigin")).and_then(|u| PeerId::from_urn(&u))?;
-                        let home = text(&format!("p{i}-home")).and_then(|u| PeerId::from_urn(&u));
-                        Some((peer, (seq, rank, vorigin), home))
+            PRESENCE_SECTION.read(message).map(|entries| {
+                entries
+                    .iter()
+                    .filter_map(|e| {
+                        let version = (e.parse("vseq")?, e.parse("vrank")?, e.peer("vorigin")?);
+                        Some((e.peer("peer")?, version, e.peer("home")))
                     })
                     .collect()
             });
@@ -3137,29 +2796,18 @@ impl Broker {
         // join event implies the same group list), which keeps a half-healed
         // replica from talking a healed one out of a correct entry.  Then
         // additions, carrying the sender's provenance stamps.
-        if let (Some(m_count), Some(presence)) = (count("m-count"), presence.as_ref()) {
+        if let (Some(entries), Some(presence)) = (MEMBERSHIP_SECTION.read(message), presence.as_ref()) {
             let sender_versions: HashMap<PeerId, PresenceVersion> =
                 presence.iter().map(|(peer, version, _)| (*peer, *version)).collect();
-            // A forged m-count must not reserve memory the message cannot
-            // back: each membership entry occupies at least five elements.
-            let m_cap = m_count.min(message.element_count() / 5 + 1);
-            let mut sender_members: std::collections::HashSet<(GroupId, PeerId)> =
-                std::collections::HashSet::with_capacity(m_cap);
-            let mut additions = Vec::with_capacity(m_cap);
-            for i in 0..m_count {
-                let (Some(group), Some(member), Some(seq), Some(rank), Some(vorigin)) = (
-                    text(&format!("m{i}-group")),
-                    text(&format!("m{i}-peer")).and_then(|u| PeerId::from_urn(&u)),
-                    text(&format!("m{i}-vseq")).and_then(|s| s.parse::<u64>().ok()),
-                    text(&format!("m{i}-vrank")).and_then(|r| r.parse::<u8>().ok()),
-                    text(&format!("m{i}-vorigin")).and_then(|u| PeerId::from_urn(&u)),
-                ) else {
-                    continue;
-                };
-                let group = GroupId::new(group);
-                sender_members.insert((group.clone(), member));
-                additions.push((group, member, (seq, rank, vorigin)));
-            }
+            let additions: Vec<(GroupId, PeerId, PresenceVersion)> = entries
+                .iter()
+                .filter_map(|e| {
+                    let version = (e.parse("vseq")?, e.parse("vrank")?, e.peer("vorigin")?);
+                    Some((GroupId::new(e.text("group")?), e.peer("peer")?, version))
+                })
+                .collect();
+            let sender_members: std::collections::HashSet<(GroupId, PeerId)> =
+                additions.iter().map(|(group, member, _)| (group.clone(), *member)).collect();
             for (group, member) in self.repair_membership_entries(&origin) {
                 if !in_range(crate::shard::shard_key(&group, &member))
                     || sender_members.contains(&(group.clone(), member))
@@ -3212,34 +2860,32 @@ impl Broker {
         // Advertisements: pure LWW merge — repair only ever *adds* missed
         // writes (reshard handles ownership moves deterministically on every
         // broker, so there are no deletions to reconcile).
-        if let Some(n) = count("a-count") {
-            for i in 0..n {
-                let (Some(group), Some(owner), Some(doc_type), Some(xml), Some(vseq), Some(vorigin)) = (
-                    text(&format!("a{i}-group")),
-                    text(&format!("a{i}-owner")).and_then(|u| PeerId::from_urn(&u)),
-                    text(&format!("a{i}-type")),
-                    text(&format!("a{i}-xml")),
-                    text(&format!("a{i}-vseq")).and_then(|s| s.parse::<u64>().ok()),
-                    text(&format!("a{i}-vorigin")).and_then(|u| PeerId::from_urn(&u)),
-                ) else {
-                    continue;
-                };
-                let group = GroupId::new(group);
-                if !self.is_local_replica(&group, &owner) {
-                    continue;
-                }
-                if self.store_advertisement(owner, &group, &doc_type, &xml, (vseq, vorigin)) {
-                    // The members homed here missed the original push along
-                    // with the gossip; deliver it now that the entry healed.
-                    self.push_to_local_members(owner, &group, &doc_type, &xml);
-                    repaired += 1;
-                }
+        for e in ADV_SECTION.read(message).unwrap_or_default() {
+            let (Some(group), Some(owner), Some(doc_type), Some(xml), Some(vseq), Some(vorigin)) = (
+                e.text("group"),
+                e.peer("owner"),
+                e.text("type"),
+                e.text("xml"),
+                e.parse("vseq"),
+                e.peer("vorigin"),
+            ) else {
+                continue;
+            };
+            let group = GroupId::new(group);
+            if !self.is_local_replica(&group, &owner) {
+                continue;
+            }
+            if self.store_advertisement(owner, &group, &doc_type, &xml, (vseq, vorigin)) {
+                // The members homed here missed the original push along
+                // with the gossip; deliver it now that the entry healed.
+                self.push_to_local_members(owner, &group, &doc_type, &xml);
+                repaired += 1;
             }
         }
 
         // Extension state (e.g. signed revocation lists): the extension
         // authenticates and merges the blob itself.
-        if let Some(blob) = index.get("ext") {
+        if let Some(blob) = message.element("ext") {
             let extension = self.extension.read().clone();
             if let Some(extension) = extension {
                 repaired += extension.apply_repair_snapshot(self, blob);
@@ -3312,18 +2958,7 @@ impl Broker {
     /// Handles a `BrokerRelay` arriving over the backbone: after admission
     /// control, the opaque payload is delivered to the locally homed
     /// destination peer with the accumulated wire time carried forward.
-    fn handle_broker_relay(
-        &self,
-        message: &Message,
-        transport_from: Option<PeerId>,
-        carried_wire: Duration,
-    ) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_broker_relay(&self, message: &Message, carried_wire: Duration) {
         let (Some(to_urn), Some(payload)) = (message.element_str("to"), message.element("payload"))
         else {
             self.federation.count_relay_failed();
@@ -3626,26 +3261,31 @@ impl Broker {
                     None => Some(self.reject(message, "secure primitives not enabled on this broker")),
                 };
             }
-            // Inter-broker kinds: applied for their side effects, never acked.
-            MessageKind::BrokerRelay => self.handle_broker_relay(message, from, wire_time),
-            MessageKind::BrokerSync => self.handle_sync(message, from),
-            MessageKind::ShardQuery => self.handle_shard_query(message, from),
-            MessageKind::ShardResponse => self.handle_shard_response(message, from),
-            MessageKind::AntiEntropyDigest => self.handle_anti_entropy_digest(message, from),
-            MessageKind::AntiEntropySnapshot => self.handle_anti_entropy_snapshot(message, from),
-            MessageKind::AntiEntropyRange => self.handle_anti_entropy_range(message, from),
-            MessageKind::MembershipShuffle => self.handle_membership_shuffle(message, from),
-            MessageKind::MembershipShuffleReply => {
-                self.handle_membership_shuffle_reply(message, from)
+            kind if !kind.is_backbone() => {
+                return Some(self.reject(message, "unsupported message kind"));
             }
-            MessageKind::PlumtreeIHave => self.handle_plumtree_ihave(message, from),
-            MessageKind::PlumtreeGraft => self.handle_plumtree_graft(message, from),
-            MessageKind::PlumtreePrune => self.handle_plumtree_prune(message, from),
-            MessageKind::SwimPing => self.handle_swim_ping(message, from),
-            MessageKind::SwimPingReq => self.handle_swim_ping_req(message, from),
-            MessageKind::SwimAck => self.handle_swim_ack(message, from),
-            // Anything else is not a broker function.
-            _ => return Some(self.reject(message, "unsupported message kind")),
+            _ => {}
+        }
+        // Inter-broker kinds: admitted here, once for all of them, then
+        // applied for their side effects and never acked.
+        self.accept_from_peer_broker(message.sender, from, message.element_str("seq"))?;
+        match message.kind {
+            MessageKind::BrokerRelay => self.handle_broker_relay(message, wire_time),
+            MessageKind::BrokerSync => self.handle_sync(message),
+            MessageKind::ShardQuery => self.handle_shard_query(message),
+            MessageKind::ShardResponse => self.handle_shard_response(message),
+            MessageKind::AntiEntropyDigest => self.handle_anti_entropy_digest(message),
+            MessageKind::AntiEntropySnapshot => self.handle_anti_entropy_snapshot(message),
+            MessageKind::AntiEntropyRange => self.handle_anti_entropy_range(message),
+            MessageKind::MembershipShuffle => self.handle_membership_shuffle(message),
+            MessageKind::MembershipShuffleReply => self.handle_membership_shuffle_reply(message),
+            MessageKind::PlumtreeIHave => self.handle_plumtree_ihave(message),
+            MessageKind::PlumtreeGraft => self.handle_plumtree_graft(message),
+            MessageKind::PlumtreePrune => self.handle_plumtree_prune(message),
+            MessageKind::SwimPing => self.handle_swim_ping(message),
+            MessageKind::SwimPingReq => self.handle_swim_ping_req(message),
+            MessageKind::SwimAck => self.handle_swim_ack(message),
+            _ => {} // client kinds were answered above
         }
         None
     }
@@ -3955,13 +3595,7 @@ impl Broker {
     /// `ShardResponse`.  Signed advertisements are returned verbatim — the
     /// XMLdsig envelope travels the extra hop unmodified, so client-side
     /// validation is unaffected by where the entry happened to live.
-    fn handle_shard_query(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_shard_query(&self, message: &Message) {
         let (Some(query), Some(group)) = (
             message.element_str("query"),
             message.element_str("group"),
@@ -3991,26 +3625,21 @@ impl Broker {
                 .element_str("owner")
                 .and_then(|urn| PeerId::from_urn(&urn));
             let results = self.lookup_versioned(&group, &doc_type, owner);
-            response = response.with_str("count", &results.len().to_string());
-            for (i, (owner, version, xml)) in results.into_iter().enumerate() {
-                response.push_element(format!("r{i}-owner"), owner.to_urn().into_bytes());
-                response.push_element(format!("r{i}-vseq"), version.0.to_string().into_bytes());
-                response.push_element(format!("r{i}-vorigin"), version.1.to_urn().into_bytes());
-                response.push_element(format!("r{i}-xml"), xml.into_bytes());
-            }
+            SHARD_RESULTS.write(&mut response, &results, |(owner, version, xml)| {
+                vec![
+                    ("owner", owner.to_urn().into_bytes()),
+                    ("vseq", version.0.to_string().into_bytes()),
+                    ("vorigin", version.1.to_urn().into_bytes()),
+                    ("xml", xml.as_bytes().to_vec()),
+                ]
+            });
         }
         self.send_sequenced(message.sender, response, Duration::ZERO);
     }
 
     /// Merges a replica's `ShardResponse` into the pending lookup it answers
     /// and, once every replica reported, replies to the waiting client.
-    fn handle_shard_response(&self, message: &Message, transport_from: Option<PeerId>) {
-        if self
-            .accept_from_peer_broker(message.sender, transport_from, message.element_str("seq"))
-            .is_none()
-        {
-            return;
-        }
+    fn handle_shard_response(&self, message: &Message) {
         let Some(query) = message
             .element_str("query")
             .and_then(|q| q.parse::<u64>().ok())
@@ -4025,24 +3654,10 @@ impl Broker {
             if let Some(member) = message.element_str("member") {
                 state.is_member |= member == "true";
             }
-            let count = message
-                .element_str("count")
-                .and_then(|c| c.parse::<usize>().ok())
-                .unwrap_or(0)
-                .min(message.element_count());
-            for i in 0..count {
-                let (Some(owner), Some(vseq), Some(vorigin), Some(xml)) = (
-                    message
-                        .element_str(&format!("r{i}-owner"))
-                        .and_then(|urn| PeerId::from_urn(&urn)),
-                    message
-                        .element_str(&format!("r{i}-vseq"))
-                        .and_then(|s| s.parse::<u64>().ok()),
-                    message
-                        .element_str(&format!("r{i}-vorigin"))
-                        .and_then(|urn| PeerId::from_urn(&urn)),
-                    message.element_str(&format!("r{i}-xml")),
-                ) else {
+            for r in SHARD_RESULTS.read(message).unwrap_or_default() {
+                let (Some(owner), Some(vseq), Some(vorigin), Some(xml)) =
+                    (r.peer("owner"), r.parse("vseq"), r.peer("vorigin"), r.text("xml"))
+                else {
                     continue;
                 };
                 let version = (vseq, vorigin);
@@ -4524,6 +4139,194 @@ mod tests {
         assert_eq!(broker.routing_snapshot(), routing_before);
     }
 
+    /// One message of every inter-broker kind from `origin` carrying
+    /// `seq`, each with content that would change state or draw a reply if
+    /// it were admitted.
+    fn backbone_samples(origin: PeerId, other: PeerId, seq: u64) -> Vec<Message> {
+        let seq = seq.to_string();
+        let msg = |kind| Message::new(kind, origin, 0);
+        let nodes = {
+            let mut blob = Vec::new();
+            shard::encode_node(&mut blob, 1, 0, shard::NodeSummary { xor: 9, count: 3 });
+            blob
+        };
+        let samples = vec![
+            sync_digest(origin, 1, &[("op", "join"), ("peer", &other.to_urn()), ("groups", "math")]),
+            msg(MessageKind::BrokerRelay)
+                .with_str("to", &other.to_urn())
+                .with_element("payload", b"x".to_vec()),
+            msg(MessageKind::ShardQuery)
+                .with_str("query", "1")
+                .with_str("group", "math")
+                .with_str("doc-type", "jxta:PipeAdvertisement"),
+            msg(MessageKind::ShardResponse)
+                .with_str("query", "7")
+                .with_str("member", "true"),
+            msg(MessageKind::AntiEntropyDigest)
+                .with_str("a-hash", "1")
+                .with_str("m-hash", "2")
+                .with_str("p-hash", "3")
+                .with_str("x-hash", "4"),
+            msg(MessageKind::AntiEntropySnapshot)
+                .with_str("want", "ap")
+                .with_str("a-count", "1")
+                .with_str("a0-group", "math")
+                .with_str("a0-owner", &other.to_urn())
+                .with_str("a0-type", "jxta:PipeAdvertisement")
+                .with_str("a0-xml", "<forged/>")
+                .with_str("a0-vseq", "9")
+                .with_str("a0-vorigin", &origin.to_urn()),
+            msg(MessageKind::AntiEntropyRange)
+                .with_str("section", "a")
+                .with_element("nodes", nodes),
+            msg(MessageKind::MembershipShuffle)
+                .with_str("peers", &other.to_urn())
+                .with_str("inc", "1"),
+            msg(MessageKind::MembershipShuffleReply).with_str("peers", &other.to_urn()),
+            msg(MessageKind::PlumtreeIHave)
+                .with_str("count", "1")
+                .with_str("g0-origin", &other.to_urn())
+                .with_str("g0-seq", "4"),
+            msg(MessageKind::PlumtreeGraft)
+                .with_str("count", "1")
+                .with_str("g0-origin", &other.to_urn())
+                .with_str("g0-seq", "4"),
+            msg(MessageKind::PlumtreePrune),
+            msg(MessageKind::SwimPing).with_str("inc", "1"),
+            msg(MessageKind::SwimPingReq).with_str("target", &other.to_urn()),
+            msg(MessageKind::SwimAck).with_str("inc", "1"),
+        ];
+        samples
+            .into_iter()
+            .map(|mut message| {
+                message.elements.retain(|e| e.name != "seq");
+                message.with_str("seq", &seq)
+            })
+            .collect()
+    }
+
+    /// Admission control covers every backbone kind alike: traffic from a
+    /// broker outside the federation and replayed traffic from a member are
+    /// both counted and dropped before any handler runs — no state moves
+    /// and nothing is sent.
+    #[test]
+    fn every_backbone_kind_is_admitted_only_from_fresh_peer_brokers() {
+        let (net, _db, broker, mut rng) = setup();
+        let member = PeerId::random(&mut rng);
+        let other = PeerId::random(&mut rng);
+        let rogue = PeerId::random(&mut rng);
+        broker.add_peer_broker(member);
+        broker.add_peer_broker(other);
+        let inboxes = [net.register(member), net.register(other), net.register(rogue)];
+        broker.pending_lookups.lock().insert(
+            7,
+            PendingLookup {
+                client: other,
+                client_request: 1,
+                remaining: 2,
+                adv_results: BTreeMap::new(),
+                is_member: false,
+                membership: false,
+            },
+        );
+        // The member's replay floor sits above every sample's sequence.
+        broker.seen_seq.write().insert(member, 100);
+        let fingerprint = |b: &Broker| {
+            let mut stats = b.federation_stats();
+            stats.rejected_unknown_origin = 0;
+            stats.rejected_replayed = 0;
+            format!(
+                "{stats:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                b.routing_snapshot(),
+                b.advertisement_snapshot(),
+                b.epidemic_eager_peers(),
+                b.epidemic_lazy_peers(),
+                b.active_view(),
+                b.swim_record(&member).map(|r| (r.state, r.incarnation)),
+                b.pending_lookups.lock()[&7].remaining,
+                b.seen_seq.read().get(&member),
+            )
+        };
+        let before = fingerprint(&broker);
+        let sent_before = net.stats().messages_sent;
+
+        let unknown = backbone_samples(rogue, other, 1);
+        let stale = backbone_samples(member, other, 5);
+        let mut kinds: Vec<u8> = unknown.iter().map(|m| m.kind as u8).collect();
+        kinds.sort();
+        let backbone: Vec<u8> = (0..=u8::MAX)
+            .filter(|&b| MessageKind::from_u8(b).is_some_and(MessageKind::is_backbone))
+            .collect();
+        assert_eq!(kinds, backbone, "one sample per backbone kind");
+        assert_eq!(backbone.len(), 15);
+        for (n, (forged, replayed)) in unknown.iter().zip(&stale).enumerate() {
+            let kind = forged.kind;
+            assert!(broker.handle_message(forged).is_none(), "{kind:?} is never acked");
+            assert_eq!(
+                broker.federation_stats().rejected_unknown_origin,
+                n as u64 + 1,
+                "{kind:?} from outside the federation"
+            );
+            assert!(broker.handle_message(replayed).is_none());
+            assert_eq!(
+                broker.federation_stats().rejected_replayed,
+                n as u64 + 1,
+                "{kind:?} with a stale seq"
+            );
+        }
+        assert_eq!(fingerprint(&broker), before, "a rejected message moved state");
+        assert_eq!(net.stats().messages_sent, sent_before, "a rejected message drew a send");
+        assert!(inboxes.iter().all(|inbox| inbox.is_empty()));
+    }
+
+    /// A broadcast event that does not decode — an unknown `op`, or a
+    /// known op missing a field — is neither applied nor forwarded, even
+    /// though its gossip id (`vorigin`, `seq`) parses.
+    #[test]
+    fn undecodable_broadcast_events_are_neither_applied_nor_forwarded() {
+        let mut rng = HmacDrbg::from_seed_u64(0xB20D);
+        let network = SimNetwork::new(LinkModel::ideal());
+        let broker = Broker::new(
+            PeerId::random(&mut rng),
+            BrokerConfig::named("epidemic").with_view_capacities(1, 4),
+            Arc::clone(&network),
+            Arc::new(UserDatabase::new()),
+        );
+        let peers: Vec<PeerId> = (0..3).map(|_| PeerId::random(&mut rng)).collect();
+        let inboxes: Vec<_> = peers.iter().map(|p| network.register(*p)).collect();
+        for peer in &peers {
+            broker.add_peer_broker(*peer);
+        }
+        assert!(broker.epidemic_engaged());
+        let owner = PeerId::random(&mut rng);
+        let broadcast = |seq: u64, fields: &[(&str, &str)]| {
+            let mut fields = fields.to_vec();
+            let vorigin = peers[1].to_urn();
+            fields.extend([("vorigin", vorigin.as_str()), ("bcast", "1")]);
+            sync_digest(peers[0], seq, &fields)
+        };
+        let unknown_op = broadcast(1, &[("op", "republish"), ("peer", &owner.to_urn())]);
+        let missing_xml = broadcast(
+            2,
+            &[
+                ("op", "publish"),
+                ("group", "math"),
+                ("doc-type", "jxta:PipeAdvertisement"),
+                ("owner", &owner.to_urn()),
+            ],
+        );
+        broker.handle_message(&unknown_op);
+        broker.handle_message(&missing_xml);
+        for seq in [1, 2] {
+            assert!(!broker.plumtree.lock().has_seen(&(peers[1], seq)));
+        }
+        assert_eq!(broker.federation_stats().syncs_applied, 0);
+        assert_eq!(broker.federation_stats().eager_pushes, 0);
+        assert!(broker.ihave_outbox.lock().is_empty());
+        assert_eq!(network.stats().messages_sent, 0, "nothing was forwarded");
+        assert!(inboxes.iter().all(|inbox| inbox.is_empty()));
+    }
+
     #[test]
     fn replicated_publish_fills_index_and_leave_clears_membership() {
         let (_net, _db, broker, mut rng) = setup();
@@ -4625,6 +4428,51 @@ mod tests {
         assert!(
             visited < 2_000_000,
             "merge visited {visited} elements for {entries} entries — \
+             the O(n²) linear-scan merge is back"
+        );
+    }
+
+    /// Regression: merging an n-result `ShardResponse` must stay O(n)
+    /// element visits, like the snapshot merge above — resolving each
+    /// `r{i}-*` name with a linear scan made it O(n²).
+    #[test]
+    fn merging_large_shard_response_is_linear_in_element_visits() {
+        let (_net, _db, broker, mut rng) = setup();
+        let replica = PeerId::random(&mut rng);
+        broker.add_peer_broker(replica);
+        broker.pending_lookups.lock().insert(
+            7,
+            PendingLookup {
+                client: PeerId::random(&mut rng),
+                client_request: 1,
+                remaining: 2,
+                adv_results: BTreeMap::new(),
+                is_member: false,
+                membership: false,
+            },
+        );
+        let results = 3_000usize;
+        let mut response = Message::new(MessageKind::ShardResponse, replica, 0)
+            .with_str("query", "7")
+            .with_str("count", &results.to_string());
+        for i in 0..results {
+            let owner = PeerId::random(&mut rng);
+            response.push_element(format!("r{i}-owner"), owner.to_urn().into_bytes());
+            response.push_element(format!("r{i}-vseq"), b"1".to_vec());
+            response.push_element(format!("r{i}-vorigin"), replica.to_urn().into_bytes());
+            response.push_element(format!("r{i}-xml"), format!("<adv-{i}/>").into_bytes());
+        }
+        response.push_element("seq", b"1".to_vec());
+        let elements = response.element_count() as u64;
+        let before = crate::message::scan_probe::visited();
+        broker.handle_message(&response);
+        let visited = crate::message::scan_probe::visited() - before;
+        assert_eq!(broker.pending_lookups.lock()[&7].adv_results.len(), results);
+        // A handful of whole-message scans (admission reads the trailing
+        // `seq`); the per-field scan merge needs ~10⁸ visits here.
+        assert!(
+            visited < 10 * elements,
+            "merge visited {visited} elements for {results} results — \
              the O(n²) linear-scan merge is back"
         );
     }

@@ -3168,3 +3168,237 @@ mod swim_detection {
         }
     }
 }
+
+#[cfg(test)]
+mod wire_golden {
+    //! Golden wire fingerprint of the backbone: one seeded scenario that
+    //! makes every inter-broker message kind travel, with the message count
+    //! per kind and the network's total bytes pinned.  The expected values
+    //! were recorded before the backbone codec was introduced, so any codec
+    //! change that renames, adds, drops or resizes an element fails here.
+
+    use super::*;
+    use crate::broker::BrokerConfig;
+    use crate::database::UserDatabase;
+    use crate::message::{Message, MessageKind};
+    use crate::net::{Adversary, FaultPlan, LinkModel, SimNetwork, Verdict};
+    use crate::swim::PROBE_BUDGET_TICKS;
+    use jxta_crypto::drbg::HmacDrbg;
+    use parking_lot::Mutex;
+
+    /// Counts every message the network is about to deliver, per kind, and
+    /// can cut all `BrokerSync` traffic into one broker; every other
+    /// verdict comes from the wrapped fault plan.
+    struct Tap {
+        plan: Arc<FaultPlan>,
+        cut_sync_to: Mutex<Option<PeerId>>,
+        per_kind: Mutex<BTreeMap<u8, u64>>,
+    }
+
+    impl Adversary for Tap {
+        fn intercept(&self, message: &NetMessage) -> Verdict {
+            let kind = Message::from_bytes(&message.payload).map(|m| m.kind).ok();
+            if kind == Some(MessageKind::BrokerSync) && *self.cut_sync_to.lock() == Some(message.to) {
+                return Verdict::Drop;
+            }
+            let verdict = self.plan.intercept(message);
+            if verdict == Verdict::Deliver {
+                if let Some(kind) = kind {
+                    *self.per_kind.lock().entry(kind as u8).or_insert(0) += 1;
+                }
+            }
+            verdict
+        }
+    }
+
+    fn brokers(
+        rng: &mut HmacDrbg,
+        network: &Arc<SimNetwork>,
+        database: &Arc<UserDatabase>,
+        n: usize,
+        config: impl Fn(usize) -> BrokerConfig,
+    ) -> Vec<Arc<Broker>> {
+        (0..n)
+            .map(|i| {
+                Broker::new(
+                    PeerId::random(rng),
+                    config(i),
+                    Arc::clone(network),
+                    Arc::clone(database),
+                )
+            })
+            .collect()
+    }
+
+    fn total(federation: &InlineFederation, pick: fn(&crate::metrics::FederationStats) -> u64) -> u64 {
+        (0..federation.len())
+            .map(|i| pick(&federation.broker(i).federation_stats()))
+            .sum()
+    }
+
+    /// Runs the scenario and returns `(per-kind counts, messages, bytes)`.
+    fn scenario() -> (BTreeMap<u8, u64>, u64, u64) {
+        let mut rng = HmacDrbg::from_seed_u64(0x60_1DE7);
+        let network = SimNetwork::new(LinkModel::ideal());
+        let database = Arc::new(UserDatabase::new());
+        for user in ["alice", "bob", "carol", "dave"] {
+            database.register_user(&mut rng, user, "pw", &[GroupId::new("math")]);
+        }
+        let group = GroupId::new("math");
+        let pipe = "jxta:PipeAdvertisement";
+
+        // Full replication over a view of 3: four brokers keep the mesh,
+        // the fifth engages the epidemic fabric.
+        let mut flat = brokers(&mut rng, &network, &database, 5, |i| {
+            BrokerConfig::named(format!("flat-{i}")).with_view_capacities(3, 8)
+        });
+        let late = flat.pop().unwrap();
+        let crashed = late.id();
+        let tap = Arc::new(Tap {
+            plan: FaultPlan::new(0x60).crash_stop(crashed, 1).into_adversary(),
+            cut_sync_to: Mutex::with_class("test.tap.cut", None),
+            per_kind: Mutex::with_class("test.tap.kinds", BTreeMap::new()),
+        });
+        network.set_adversary(tap.clone());
+        let mut federation = InlineFederation::new(flat);
+        assert!(!federation.broker(0).epidemic_engaged());
+
+        // Mesh: join, publish, cross-broker relay, leave.
+        let (alice, bob) = (PeerId::random(&mut rng), PeerId::random(&mut rng));
+        let _bob_inbox = network.register(bob);
+        federation.broker(0).establish_session(alice, "alice");
+        federation.broker(1).establish_session(bob, "bob");
+        federation.broker(0).index_and_distribute(alice, &group, pipe, "<mesh/>");
+        federation.pump();
+        let relay = Message::new(MessageKind::RelayViaBroker, alice, 1)
+            .with_str("to", &bob.to_urn())
+            .with_element("payload", b"hello across the backbone".to_vec());
+        federation.broker(0).handle_message(&relay);
+        federation.pump();
+        federation.broker(0).drop_session(&alice);
+        federation.pump();
+
+        // The newcomer engages the epidemic fabric; the admission repair
+        // round ships it the whole state through descent legs and pages.
+        federation.add_broker(late);
+        assert!(federation.broker(0).epidemic_engaged());
+        assert!(federation.converged());
+
+        // Epidemic: join, publishes until duplicates prune the tree, leave.
+        let carol = PeerId::random(&mut rng);
+        federation.broker(2).establish_session(carol, "carol");
+        for round in 0..6 {
+            for i in 0..federation.len() {
+                federation.broker(i).index_and_distribute(
+                    PeerId::random(&mut rng),
+                    &group,
+                    pipe,
+                    &format!("<epidemic r=\"{round}\" b=\"{i}\"/>"),
+                );
+                federation.pump();
+            }
+        }
+        federation.broker(2).drop_session(&carol);
+        federation.pump();
+        assert!(total(&federation, |s| s.prunes_sent) > 0);
+
+        // Cut every eager edge into one broker for one publish: the lazy
+        // IHave digests of the next tick make it graft the payload back.
+        let victim = (0..federation.len())
+            .find(|&v| {
+                let id = federation.broker(v).id();
+                (0..federation.len()).any(|i| federation.broker(i).epidemic_lazy_peers().contains(&id))
+            })
+            .expect("some broker has a lazy in-edge");
+        *tap.cut_sync_to.lock() = Some(federation.broker(victim).id());
+        let origin = (victim + 1) % federation.len();
+        federation.broker(origin).index_and_distribute(alice, &group, pipe, "<cut/>");
+        federation.pump();
+        *tap.cut_sync_to.lock() = None;
+        federation.repair();
+        assert!(total(&federation, |s| s.grafts_sent) > 0);
+        assert!(federation.repair_until_converged(4).is_some());
+
+        // SWIM: the newcomer crashes; direct probes time out, indirect
+        // probes go out, suspicion and death verdicts are gossiped.
+        tap.plan.advance_tick();
+        for _ in 0..PROBE_BUDGET_TICKS {
+            for i in 0..federation.len() {
+                if federation.broker(i).id() != crashed {
+                    federation.broker(i).start_repair_round();
+                }
+            }
+            federation.pump();
+            tap.plan.advance_tick();
+        }
+        assert!(total(&federation, |s| s.swim_indirect_probes) > 0);
+        assert!(total(&federation, |s| s.swim_suspicions) > 0);
+
+        // Sharded (K = 2): routed and scattered lookups, then a reshard
+        // migration when a fifth broker joins the ring.
+        let mut sharded = brokers(&mut rng, &network, &database, 5, |i| {
+            BrokerConfig::sharded(format!("shard-{i}"), 2)
+        });
+        let joiner = sharded.pop().unwrap();
+        let mut federation = InlineFederation::new(sharded);
+        let dave = PeerId::random(&mut rng);
+        let _dave_inbox = network.register(dave);
+        federation.broker(0).establish_session(dave, "dave");
+        let b0 = federation.broker(0).id();
+        for n in 0..8 {
+            let owner = PeerId::random(&mut rng);
+            federation.broker(1).index_and_distribute(owner, &group, pipe, &format!("<s n=\"{n}\"/>"));
+            if !federation.broker(0).shard_replicas(&group, &owner).contains(&b0) {
+                let lookup = Message::new(MessageKind::LookupRequest, dave, n)
+                    .with_str("group", "math")
+                    .with_str("doc-type", pipe)
+                    .with_str("owner", &owner.to_urn());
+                network.send(dave, b0, lookup.to_bytes()).unwrap();
+            }
+            federation.pump();
+        }
+        let scatter = Message::new(MessageKind::LookupRequest, dave, 99)
+            .with_str("group", "math")
+            .with_str("doc-type", pipe);
+        network.send(dave, b0, scatter.to_bytes()).unwrap();
+        federation.pump();
+        federation.add_broker(joiner);
+        assert!(total(&federation, |s| s.entries_migrated) > 0);
+
+        let per_kind = tap.per_kind.lock().clone();
+        let stats = network.stats();
+        (per_kind, stats.messages_sent, stats.bytes_sent)
+    }
+
+    #[test]
+    fn every_backbone_kind_keeps_its_golden_count_and_size() {
+        use MessageKind::*;
+        let (per_kind, messages, bytes) = scenario();
+        let counted: Vec<(MessageKind, u64)> = per_kind
+            .iter()
+            .map(|(kind, n)| (MessageKind::from_u8(*kind).unwrap(), *n))
+            .collect();
+        let golden = vec![
+            (AdvertisementPush, 51),
+            (LookupRequest, 6),
+            (LookupResponse, 6),
+            (BrokerSync, 153),
+            (BrokerRelay, 1),
+            (ShardQuery, 8),
+            (ShardResponse, 8),
+            (AntiEntropyDigest, 170),
+            (AntiEntropySnapshot, 224),
+            (AntiEntropyRange, 23),
+            (MembershipShuffle, 50),
+            (MembershipShuffleReply, 50),
+            (PlumtreeIHave, 27),
+            (PlumtreeGraft, 23),
+            (PlumtreePrune, 54),
+            (SwimPing, 42),
+            (SwimPingReq, 20),
+            (SwimAck, 42),
+        ];
+        assert_eq!(counted, golden, "messages per kind moved");
+        assert_eq!((messages, bytes), (947, 340_460), "backbone wire volume moved");
+    }
+}

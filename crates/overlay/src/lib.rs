@@ -62,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod advertisement;
+pub mod backbone;
 pub mod broker;
 pub mod client;
 pub mod clock;

@@ -7,6 +7,14 @@
 //! to) and a list of `(name, bytes)` elements, and serialises to a compact
 //! length-prefixed binary layout so that the network layer can charge
 //! bandwidth for realistic message sizes.
+//!
+//! Element names are flat, so a message carrying a *list* of entries (a
+//! gossip digest, a shard-query answer, an anti-entropy snapshot section)
+//! numbers them: one count element (`count`, or `a-count` for section `a`)
+//! plus `{prefix}{i}-{field}` elements for each entry `i` — `e0-op`,
+//! `e0-seq`, `e1-op`, ….  The count is a claim from the wire, not a bound:
+//! readers clamp it to [`Message::element_count`].  Only
+//! [`crate::backbone::EntryList`] writes or reads this layout.
 
 use crate::error::OverlayError;
 use crate::id::{PeerId, PEER_ID_LEN};
@@ -114,6 +122,13 @@ pub enum MessageKind {
 }
 
 impl MessageKind {
+    /// Whether this is one of the inter-broker (backbone) kinds,
+    /// [`MessageKind::BrokerSync`] through [`MessageKind::SwimAck`]: the
+    /// traffic a broker admits only from a fresh peer broker.
+    pub fn is_backbone(self) -> bool {
+        (MessageKind::BrokerSync as u8..=MessageKind::SwimAck as u8).contains(&(self as u8))
+    }
+
     /// Decodes a kind from its wire byte.
     pub fn from_u8(value: u8) -> Option<Self> {
         use MessageKind::*;
@@ -211,9 +226,8 @@ impl Message {
     /// Looks up an element's raw content by name.
     ///
     /// This is a linear scan — fine for the handful of named fields a normal
-    /// message carries, quadratic when called per entry of a bulk message.
-    /// Loops over `{prefix}{i}-{field}` style names must build an
-    /// [`ElementIndex`] once instead.
+    /// message carries, quadratic when called per entry of a bulk message:
+    /// entry lists are read through [`crate::backbone::EntryList`] instead.
     pub fn element(&self, name: &str) -> Option<&[u8]> {
         let position = self.elements.iter().position(|e| e.name == name);
         #[cfg(test)]
@@ -222,11 +236,6 @@ impl Message {
             None => self.elements.len(),
         });
         position.map(|at| self.elements[at].content.as_slice())
-    }
-
-    /// Builds a one-pass name→content index over the elements.
-    pub fn index(&self) -> ElementIndex<'_> {
-        ElementIndex::new(self)
     }
 
     /// Number of elements this message carries.  Bulk decoders use it to cap
@@ -346,56 +355,25 @@ impl Message {
     }
 }
 
-/// A name→content index built in one pass over a message's elements.
-///
-/// Handlers that address entries via `{section}{i}-{field}` style names must
-/// use this instead of per-name [`Message::element`] calls: each of those is
-/// a linear scan, so an n-entry bulk message merged field-by-field costs
-/// O(n²) element visits.  First occurrence of a name wins, matching
-/// [`Message::element`].
-pub struct ElementIndex<'a> {
-    by_name: std::collections::HashMap<&'a str, &'a [u8]>,
-}
-
-impl<'a> ElementIndex<'a> {
-    /// Indexes every element of `message`.
-    pub fn new(message: &'a Message) -> Self {
-        let mut by_name = std::collections::HashMap::with_capacity(message.elements.len());
-        for element in &message.elements {
-            by_name
-                .entry(element.name.as_str())
-                .or_insert_with(|| element.content.as_slice());
-        }
-        ElementIndex { by_name }
-    }
-
-    /// Raw content of element `name`.
-    pub fn get(&self, name: &str) -> Option<&'a [u8]> {
-        self.by_name.get(name).copied()
-    }
-
-    /// UTF-8 decoded content of element `name`.
-    pub fn get_str(&self, name: &str) -> Option<String> {
-        self.get(name).map(|b| String::from_utf8_lossy(b).into_owned())
-    }
-}
-
 /// Test-only instrumentation counting how many elements linear
 /// [`Message::element`] lookups visit, so regression tests can pin bulk
-/// merge paths to O(n) total element visits.
+/// merge paths to O(n) total element visits.  The count is per thread, so
+/// tests running in parallel do not see each other's scans.
 #[cfg(test)]
 pub(crate) mod scan_probe {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static VISITED: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn record(elements: usize) {
-        VISITED.fetch_add(elements as u64, Ordering::Relaxed);
+    thread_local! {
+        static VISITED: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Cumulative elements visited by `Message::element` process-wide.
+    pub(crate) fn record(elements: usize) {
+        VISITED.with(|visited| visited.set(visited.get() + elements as u64));
+    }
+
+    /// Cumulative elements visited by `Message::element` on this thread.
     pub(crate) fn visited() -> u64 {
-        VISITED.load(Ordering::Relaxed)
+        VISITED.with(Cell::get)
     }
 }
 
@@ -505,19 +483,6 @@ mod tests {
         let parsed = Message::from_bytes(&msg.to_bytes()).unwrap();
         assert_eq!(parsed.elements.len(), 70_000);
         assert_eq!(parsed, msg);
-    }
-
-    #[test]
-    fn element_index_matches_linear_lookup() {
-        let msg = Message::new(MessageKind::Ack, peer(), 0)
-            .with_str("first", "1")
-            .with_element("blob", vec![7u8, 8])
-            .with_str("first", "shadowed");
-        let idx = msg.index();
-        assert_eq!(idx.get_str("first").as_deref(), Some("1"));
-        assert_eq!(idx.get("blob"), msg.element("blob"));
-        assert_eq!(idx.get("missing"), None);
-        assert_eq!(idx.get_str("first"), msg.element_str("first"));
     }
 
     #[test]

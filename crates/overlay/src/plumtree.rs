@@ -19,6 +19,7 @@
 //! paths and the `PlumtreeIHave`/`PlumtreeGraft`/`PlumtreePrune` wire
 //! messages.
 
+use crate::backbone::GossipEvent;
 use crate::id::PeerId;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -44,7 +45,7 @@ pub struct PlumtreeState {
     seen: HashSet<GossipId>,
     seen_order: VecDeque<GossipId>,
     /// Recently seen payloads, kept to answer `Graft` pulls.
-    cache: HashMap<GossipId, Vec<(String, String)>>,
+    cache: HashMap<GossipId, GossipEvent>,
     cache_order: VecDeque<GossipId>,
     capacity: usize,
 }
@@ -97,9 +98,9 @@ impl PlumtreeState {
         self.seen.contains(gid)
     }
 
-    /// Stores an event's field list so a later `Graft` can pull it.
-    pub fn cache_event(&mut self, gid: GossipId, fields: Vec<(String, String)>) {
-        if self.cache.insert(gid, fields).is_none() {
+    /// Stores an event so a later `Graft` can pull it.
+    pub(crate) fn cache_event(&mut self, gid: GossipId, event: GossipEvent) {
+        if self.cache.insert(gid, event).is_none() {
             self.cache_order.push_back(gid);
         }
         while self.cache_order.len() > self.capacity {
@@ -109,8 +110,8 @@ impl PlumtreeState {
         }
     }
 
-    /// The cached field list of `gid`, if it has not been evicted.
-    pub fn cached(&self, gid: &GossipId) -> Option<Vec<(String, String)>> {
+    /// The cached event of `gid`, if it has not been evicted.
+    pub(crate) fn cached(&self, gid: &GossipId) -> Option<GossipEvent> {
         self.cache.get(gid).cloned()
     }
 
@@ -186,13 +187,14 @@ mod tests {
 
     #[test]
     fn cache_serves_grafts_until_evicted() {
+        use crate::backbone::GossipOp;
         let ids = peers(1, 3);
         let mut state = PlumtreeState::new(2);
-        let fields = vec![("op".to_string(), "publish".to_string())];
-        state.cache_event((ids[0], 1), fields.clone());
-        state.cache_event((ids[0], 2), vec![]);
-        assert_eq!(state.cached(&(ids[0], 1)), Some(fields));
-        state.cache_event((ids[0], 3), vec![]);
+        let event = |seq| GossipEvent::new(seq, GossipOp::Leave { peer: ids[0] });
+        state.cache_event((ids[0], 1), event(1));
+        state.cache_event((ids[0], 2), event(2));
+        assert_eq!(state.cached(&(ids[0], 1)), Some(event(1)));
+        state.cache_event((ids[0], 3), event(3));
         assert_eq!(state.cached(&(ids[0], 1)), None, "FIFO eviction");
         assert!(state.cached(&(ids[0], 3)).is_some());
     }

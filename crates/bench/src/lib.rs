@@ -2094,6 +2094,23 @@ pub fn format_fanout_report(rows: &[FanoutRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// The harness runs this module's tests on parallel threads.  A test
+    /// that compares wall-clock timings holds this lock exclusively and
+    /// every other test that does real work shares it, so a timing
+    /// comparison never splits the host's cores with a sibling test: a
+    /// neighbour's broker threads would inflate whichever side of the
+    /// comparison happened to overlap them.
+    static CORES: RwLock<()> = RwLock::with_class("bench.tests.cores", ());
+
+    fn cores_alone() -> RwLockWriteGuard<'static, ()> {
+        CORES.write()
+    }
+
+    fn cores_shared() -> RwLockReadGuard<'static, ()> {
+        CORES.read()
+    }
 
     #[test]
     fn stats_from_samples() {
@@ -2123,6 +2140,7 @@ mod tests {
 
     #[test]
     fn quick_join_experiment_shows_secure_is_slower() {
+        let _cores = cores_alone();
         let result = experiment_join_overhead(&ExperimentConfig::quick());
         assert!(result.secure.mean_ms > result.plain.mean_ms);
         assert!(result.overhead_percent > 0.0);
@@ -2131,6 +2149,7 @@ mod tests {
 
     #[test]
     fn quick_msg_experiment_overhead_decays_with_size() {
+        let _cores = cores_alone();
         let config = ExperimentConfig::quick();
         let rows = experiment_msg_overhead(&config, &[256, 256 << 10]);
         assert_eq!(rows.len(), 2);
@@ -2141,6 +2160,7 @@ mod tests {
 
     #[test]
     fn quick_federated_world_relays_across_brokers() {
+        let _cores = cores_shared();
         let config = ExperimentConfig::quick();
         let mut world = build_federated_world(&config, 2, 2);
         assert_eq!(world.setup.broker_count(), 2);
@@ -2155,6 +2175,7 @@ mod tests {
 
     #[test]
     fn quick_sharded_federated_world_relays_across_brokers() {
+        let _cores = cores_shared();
         let config = ExperimentConfig::quick();
         let mut world = build_federated_world_with_replication(&config, 4, 2, Some(2));
         assert_eq!(world.setup.broker_count(), 4);
@@ -2164,6 +2185,7 @@ mod tests {
 
     #[test]
     fn shard_scaling_shows_k_not_n_growth() {
+        let _cores = cores_shared();
         let full = measure_shard_scaling(4, None, 64);
         let sharded = measure_shard_scaling(4, Some(2), 64);
         assert_eq!(full.max_entries_per_broker, 64, "full replication: every entry everywhere");
@@ -2180,6 +2202,7 @@ mod tests {
 
     #[test]
     fn repair_experiment_heals_lossy_backbones() {
+        let _cores = cores_shared();
         // No loss: nothing diverges and repair has nothing to do.
         let clean = measure_repair(4, Some(2), 0, 24, 7);
         assert!(!clean.diverged);
@@ -2198,6 +2221,7 @@ mod tests {
 
     #[test]
     fn ingest_smoke_verify_cache_stays_effective() {
+        let _cores = cores_shared();
         // The guard the CI bench smoke relies on: the verified-signature
         // cache must keep absorbing the gossip/repair phase (a silent
         // regression to 0% would leave the pipeline re-verifying everything
@@ -2230,6 +2254,7 @@ mod tests {
 
     #[test]
     fn ingest_smoke_pipelined_apply_beats_inline_at_equal_cache() {
+        let _cores = cores_alone();
         // The PR 5 regression, pinned: with the cache on, adding verify
         // workers used to *lose* to the inline loop (~0.77x) because every
         // verified message still funnelled through one apply thread.  The
@@ -2260,6 +2285,7 @@ mod tests {
 
     #[test]
     fn quick_fanout_experiment_runs() {
+        let _cores = cores_shared();
         let config = ExperimentConfig::quick();
         let rows = experiment_group_fanout(&config, &[2]);
         assert_eq!(rows.len(), 1);

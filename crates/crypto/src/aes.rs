@@ -6,11 +6,12 @@
 //! RSA.  CBC with PKCS#7 padding is also provided because it is what JXTA's
 //! own TLS transport uses, and it is exercised by the ablation benchmarks.
 //!
-//! This is a straightforward table-free implementation computing the S-box
-//! lookups from a small constant table and the MixColumns step with xtime
-//! arithmetic; it is not hardened against cache-timing side channels (the
-//! simulator does not need that), but it is fully compatible with the
-//! standard test vectors.
+//! Encryption — the only direction CTR mode uses — runs on four 1 KiB
+//! round tables that fold SubBytes, ShiftRows and MixColumns into one
+//! lookup per state byte, on 32-bit column words.  Decryption (CBC only)
+//! keeps the byte-wise textbook rounds.  Neither is hardened against
+//! cache-timing side channels (the simulator does not need that); both are
+//! fully compatible with the standard test vectors.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -76,7 +77,7 @@ const RCON: [u8; 15] = [
 ];
 
 #[inline]
-fn xtime(x: u8) -> u8 {
+const fn xtime(x: u8) -> u8 {
     (x << 1) ^ (((x >> 7) & 1) * 0x1b)
 }
 
@@ -93,6 +94,25 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
+/// Encryption round tables.  `TE[0][x]` is the MixColumns image of the
+/// column `(S(x), 0, 0, 0)` as a big-endian word `(2·S(x), S(x), S(x),
+/// 3·S(x))`; `TE[r]` is the same for a byte in row `r`, i.e. `TE[0]`
+/// rotated right by `8·r` bits.
+const TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let column = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        te[0][i] = column;
+        te[1][i] = column.rotate_right(8);
+        te[2][i] = column.rotate_right(16);
+        te[3][i] = column.rotate_right(24);
+        i += 1;
+    }
+    te
+};
+
 /// Supported AES key sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeySize {
@@ -106,6 +126,8 @@ pub enum KeySize {
 #[derive(Clone)]
 pub struct Aes {
     round_keys: Vec<[u8; 16]>,
+    /// `round_keys` as big-endian column words, for the table rounds.
+    round_words: Vec<[u32; 4]>,
     rounds: usize,
 }
 
@@ -154,7 +176,12 @@ impl Aes {
             }
             round_keys.push(rk);
         }
-        Ok(Aes { round_keys, rounds })
+        let round_words = round_keys.iter().map(columns).collect();
+        Ok(Aes {
+            round_keys,
+            round_words,
+            rounds,
+        })
     }
 
     /// Returns the key size variant of this expanded key.
@@ -168,16 +195,34 @@ impl Aes {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..self.rounds {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+        let keys = &self.round_words;
+        let mut state = columns(block);
+        for (word, key) in state.iter_mut().zip(keys[0]) {
+            *word ^= key;
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[self.rounds]);
+        // Column c of the next state takes row r from column c + r (ShiftRows).
+        for key in &keys[1..self.rounds] {
+            let s = state;
+            for c in 0..4 {
+                state[c] = TE[0][(s[c] >> 24) as usize]
+                    ^ TE[1][(s[(c + 1) % 4] >> 16 & 0xff) as usize]
+                    ^ TE[2][(s[(c + 2) % 4] >> 8 & 0xff) as usize]
+                    ^ TE[3][(s[(c + 3) % 4] & 0xff) as usize]
+                    ^ key[c];
+            }
+        }
+        // The last round has no MixColumns: plain S-box bytes.
+        let key = keys[self.rounds];
+        for c in 0..4 {
+            let column = [
+                SBOX[(state[c] >> 24) as usize],
+                SBOX[(state[(c + 1) % 4] >> 16 & 0xff) as usize],
+                SBOX[(state[(c + 2) % 4] >> 8 & 0xff) as usize],
+                SBOX[(state[(c + 3) % 4] & 0xff) as usize],
+            ];
+            let word = u32::from_be_bytes(column) ^ key[c];
+            block[c * 4..c * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
     }
 
     /// Decrypts one 16-byte block in place.
@@ -195,17 +240,16 @@ impl Aes {
     }
 }
 
+/// A 16-byte state or round key as four big-endian column words.
+#[inline]
+fn columns(bytes: &[u8; 16]) -> [u32; 4] {
+    std::array::from_fn(|c| u32::from_be_bytes(bytes[c * 4..c * 4 + 4].try_into().expect("4 bytes")))
+}
+
 #[inline]
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     for i in 0..16 {
         state[i] ^= rk[i];
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
     }
 }
 
@@ -217,25 +261,6 @@ fn inv_sub_bytes(state: &mut [u8; 16]) {
 }
 
 /// State layout: column-major, i.e. state[c*4 + r] is row r, column c.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    // Row 1: shift left by 1.
-    let t = state[1];
-    state[1] = state[5];
-    state[5] = state[9];
-    state[9] = state[13];
-    state[13] = t;
-    // Row 2: shift left by 2.
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift left by 3 (= right by 1).
-    let t = state[15];
-    state[15] = state[11];
-    state[11] = state[7];
-    state[7] = state[3];
-    state[3] = t;
-}
-
 #[inline]
 fn inv_shift_rows(state: &mut [u8; 16]) {
     // Row 1: shift right by 1.
@@ -253,17 +278,6 @@ fn inv_shift_rows(state: &mut [u8; 16]) {
     state[7] = state[11];
     state[11] = state[15];
     state[15] = t;
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[c * 4], state[c * 4 + 1], state[c * 4 + 2], state[c * 4 + 3]];
-        state[c * 4] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        state[c * 4 + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        state[c * 4 + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        state[c * 4 + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
 }
 
 #[inline]
